@@ -74,13 +74,11 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
         power_cache = {}
 
     def power(i: int, e: int) -> MultiPoly:
-        key = (i, e)
-        if key not in power_cache:
-            if e == 0:
-                power_cache[key] = MultiPoly.const(variables, 1)
-            else:
-                power_cache[key] = power(i, e - 1) * coeffs[i]
-        return power_cache[key]
+        # power_cache[i][e] is coeffs[i]**e, grown one exponent at a time.
+        powers = power_cache.setdefault(i, [MultiPoly.const(variables, 1)])
+        while len(powers) <= e:
+            powers.append(powers[-1] * coeffs[i])
+        return powers[e]
 
     total = MultiPoly.zero(variables)
     for counts in weighted_compositions(k, n):

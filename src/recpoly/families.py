@@ -253,10 +253,15 @@ def _quadext_identity(L, F, delta, n_range, m_range, sign: int,
     variables = delta.variables
     for n in n_range:
         base = QuadExtElem(L[n], sign * F[n - shift], delta)
+        conj = base.conjugate()
+        power = conj_power = None
         for m in m_range:
-            lhs = base**m
+            # m_range is contiguous, so each power is the previous one times base.
+            power = base**m if power is None else power * base
+            lhs = power
             if summed:
-                lhs = lhs + base.conjugate() ** m
+                conj_power = conj**m if conj_power is None else conj_power * conj
+                lhs = lhs + conj_power
                 rhs = QuadExtElem(2**m * L[n * m], MultiPoly.zero(variables), delta)
             else:
                 rhs = QuadExtElem(2 ** (m - 1) * L[n * m],

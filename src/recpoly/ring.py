@@ -1,10 +1,24 @@
 """Sparse multivariate polynomials over arbitrary-precision integers.
 
-A :class:`MultiPoly` is an ordered variable list plus a map from exponent
-vectors to nonzero integer coefficients (canonical sparse form, so equality
-of term maps is semantic equality).  Values are immutable after construction
-and every operation is a pure function, which makes them safe to share
-across threads.
+A :class:`MultiPoly` is an ordered variable list plus a map from monomials
+to nonzero integer coefficients (canonical sparse form, so equality of term
+maps is semantic equality).  Values are immutable after construction and
+every operation is a pure function, which makes them safe to share across
+threads.
+
+Each monomial key is its exponent vector packed into one int (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  The top field holds the total degree; below
+it comes one field per variable in declared order, each ``_FIELD_BITS``
+wide.  A field can hold twice ``DEGREE_GUARD``, so as long as every operand
+has total degree at most ``DEGREE_GUARD``, the key of a product monomial is
+the sum of the two keys with no carry between fields, and descending key
+order is graded-lexicographic order (total degree first, then the exponents
+in declared order).  The invariant is kept by the constructor, which
+rejects exponent vectors over the guard, and by every product, which raises
+:class:`StructuralError` before building a result whose total degree would
+exceed it.  Keys are packed only by the constructors and unpacked only to
+print or evaluate; no other module knows the layout.
 
 Two polynomials interoperate only when they share the same ordered variable
 list; mixing lists raises :class:`VariableMismatchError` instead of silently
@@ -24,10 +38,24 @@ from .errors import StructuralError, VariableMismatchError
 # Guard against pathological exponent growth; nothing desk-scale gets close.
 DEGREE_GUARD = 10**6
 
+# A field holds the sum of two exponents at most DEGREE_GUARD without a carry.
+_FIELD_BITS = (2 * DEGREE_GUARD).bit_length()
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    # Total degree descending, then lexicographic by declared variable order.
-    return (-sum(exps), tuple(-e for e in exps))
+
+def _pack(exps: tuple[int, ...]) -> int:
+    key = sum(exps)
+    for e in exps:
+        key = (key << _FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> list[int]:
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        exps[i] = key & _FIELD_MASK
+        key >>= _FIELD_BITS
+    return exps
 
 
 class MultiPoly:
@@ -36,8 +64,9 @@ class MultiPoly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], int] | None = None):
+        """``terms`` maps exponent vectors (one exponent per variable) to coefficients."""
         object.__setattr__(self, "variables", tuple(variables))
-        canon: dict[tuple[int, ...], int] = {}
+        canon: dict[int, int] = {}
         nvars = len(self.variables)
         if terms:
             for exps, coeff in terms.items():
@@ -50,7 +79,7 @@ class MultiPoly:
                 if sum(exps) > DEGREE_GUARD:
                     raise StructuralError(f"total degree of {exps!r} exceeds guard {DEGREE_GUARD}")
                 if coeff:
-                    key = tuple(exps)
+                    key = _pack(exps)
                     new = canon.get(key, 0) + coeff
                     if new:
                         canon[key] = new
@@ -65,12 +94,12 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "MultiPoly":
-        return cls(variables)
+        return _raw(tuple(variables), {})
 
     @classmethod
     def const(cls, variables: Iterable[str], value: int) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        # Key 0 is the constant monomial for every variable list.
+        return _raw(tuple(variables), {0: value} if value else {})
 
     @classmethod
     def var(cls, name: str, variables: Iterable[str]) -> "MultiPoly":
@@ -92,11 +121,11 @@ class MultiPoly:
         """Degree of the zero polynomial is reported as -1."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (len(self.variables) * _FIELD_BITS)
 
     def constant_value(self) -> int:
         """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * len(self.variables), 0)
+        return self.terms.get(0, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -146,10 +175,17 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+        a, b = self.terms, other.terms
+        # Without variables every key is 0 and no field can overflow.
+        if self.variables and a and b:
+            shift = len(self.variables) * _FIELD_BITS
+            degree = (max(a) >> shift) + (max(b) >> shift)
+            if degree > DEGREE_GUARD:
+                raise StructuralError(f"product of total degree {degree} exceeds guard {DEGREE_GUARD}")
+        terms: dict[int, int] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = ea + eb
                 new = terms.get(key, 0) + ca * cb
                 if new:
                     terms[key] = new
@@ -194,10 +230,11 @@ class MultiPoly:
     def eval_int(self, point: Mapping[str, int]) -> int:
         """Exact integer value at an integer point."""
         values = self._point_values(point)
+        nvars = len(values)
         total = 0
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             term = coeff
-            for val, e in zip(values, exps):
+            for val, e in zip(values, _unpack(key, nvars)):
                 if e:
                     term *= val**e
             total += term
@@ -206,9 +243,11 @@ class MultiPoly:
     def eval_complex(self, point: Mapping[str, complex]) -> complex:
         """Floating evaluation at a complex point (IEEE semantics, NaN propagates)."""
         values = [complex(v) for v in self._point_values(point)]
+        nvars = len(values)
+        items = [(_unpack(key, nvars), coeff) for key, coeff in self.terms.items()]
         # Power tables keep the rounding error at O(terms) multiplications.
-        max_exp = [0] * len(self.variables)
-        for exps in self.terms:
+        max_exp = [0] * nvars
+        for exps, _ in items:
             for i, e in enumerate(exps):
                 max_exp[i] = max(max_exp[i], e)
         powers = []
@@ -218,7 +257,7 @@ class MultiPoly:
                 row.append(row[-1] * val)
             powers.append(row)
         total = 0.0 + 0.0j
-        for exps, coeff in self.terms.items():
+        for exps, coeff in items:
             term = complex(coeff)
             for i, e in enumerate(exps):
                 if e:
@@ -241,11 +280,12 @@ class MultiPoly:
         """
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
+        nvars = len(self.variables)
         pieces = []
-        for idx, (exps, coeff) in enumerate(items):
+        for idx, key in enumerate(sorted(self.terms, reverse=True)):
+            coeff = self.terms[key]
             factors = []
-            for name, e in zip(self.variables, exps):
+            for name, e in zip(self.variables, _unpack(key, nvars)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -269,7 +309,7 @@ class MultiPoly:
         return f"MultiPoly({self.canonical()!r}, vars={list(self.variables)})"
 
 
-def _raw(variables: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> MultiPoly:
+def _raw(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
     """Build from an already-canonical term map, skipping revalidation."""
     poly = MultiPoly.__new__(MultiPoly)
     object.__setattr__(poly, "variables", variables)

@@ -147,6 +147,24 @@ class TestTermCommand:
         code, _, err = run(capsys, "term", "--spec", path, "--n", "1")
         assert code == 2 and "column" in err
 
+    def test_degree_guard_exit_code(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"variables": ["x"], "order": 2,
+                                     "coefficients": ["x^600000", "1"], "initial": ["0", "1"]})
+        code, out, err = run(capsys, "term", "--spec", path, "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_multinomial_engine_at_large_n(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"variables": [], "order": 2,
+                                     "coefficients": ["1", "1"], "initial": ["0", "1"]})
+        outputs = []
+        for engine in ("multinomial", "iterate"):
+            code, out, err = run(capsys, "term", "--spec", path, "--n", "3000",
+                                 "--engine", engine)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "term", "--family", "fibonacci2", "--n", "1",
                          "--no-such-flag")

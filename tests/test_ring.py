@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import VARS, integer_points, multipolys
-from recpoly import MultiPoly, QuadExtElem, StructuralError, VariableMismatchError
+from conftest import VARS, integer_points, multipolys, term_maps
+from recpoly import MultiPoly, QuadExtElem, StructuralError, VariableMismatchError, parse_poly
+from recpoly.ring import DEGREE_GUARD
 
 
 def p(text_terms, variables):
@@ -185,3 +187,106 @@ class TestQuadExt:
         a = QuadExtElem(x + 1, y, delta)
         for m, n in [(0, 3), (2, 2), (1, 4), (3, 2)]:
             assert a ** (m + n) == (a**m) * (a**n)
+
+
+class TestDegreeGuard:
+    def test_parsed_power_over_guard(self):
+        with pytest.raises(StructuralError):
+            parse_poly("x^20000000", X)
+
+    def test_product_over_guard(self):
+        x = MultiPoly.var("x", X)
+        top = x**DEGREE_GUARD
+        assert top.total_degree() == DEGREE_GUARD
+        with pytest.raises(StructuralError):
+            top * x
+        with pytest.raises(StructuralError):
+            QuadExtElem(top, x, x) ** 2
+
+
+# Reference kernel: tuple-keyed exponent vectors, the product, sum and
+# graded-lex order that the packed kernel must reproduce.
+
+def ref_normalize(terms):
+    return {exps: c for exps, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return ref_normalize(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return ref_normalize(out)
+
+
+def ref_canonical(variables, terms):
+    if not terms:
+        return "0"
+    order = sorted(terms, key=lambda exps: (-sum(exps), tuple(-e for e in exps)))
+    pieces = []
+    for idx, exps in enumerate(order):
+        coeff = terms[exps]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exps) if e]
+        if abs(coeff) != 1 or not factors or (idx == 0 and coeff < 0):
+            factors.insert(0, str(abs(coeff)))
+        if idx == 0:
+            pieces.append(("-" if coeff < 0 else "") + "*".join(factors))
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    return " ".join(pieces)
+
+
+def ref_eval(terms, variables, point):
+    total = 0
+    for exps, c in terms.items():
+        for name, e in zip(variables, exps):
+            c *= point[name] ** e
+        total += c
+    return total
+
+
+VARIABLE_LISTS = st.sampled_from([(), ("x",), ("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w")])
+
+
+class TestPackedKernelAgainstReference:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_arithmetic_and_order_near_the_guard(self, data):
+        variables = data.draw(VARIABLE_LISTS)
+        ta = data.draw(term_maps(variables, near_guard=True))
+        tb = data.draw(term_maps(variables, near_guard=True))
+        a, b = MultiPoly(variables, ta), MultiPoly(variables, tb)
+        ra, rb = ref_normalize(ta), ref_normalize(tb)
+        assert a.canonical() == ref_canonical(variables, ra)
+        assert a.total_degree() == max(map(sum, ra), default=-1)
+        assert (a + b).canonical() == ref_canonical(variables, ref_add(ra, rb))
+        assert (-a).canonical() == ref_canonical(variables, {e: -c for e, c in ra.items()})
+        if ra and rb and max(map(sum, ra)) + max(map(sum, rb)) > DEGREE_GUARD:
+            with pytest.raises(StructuralError):
+                a * b
+        else:
+            assert (a * b).canonical() == ref_canonical(variables, ref_mul(ra, rb))
+        signs = {v: data.draw(st.integers(min_value=-1, max_value=1)) for v in variables}
+        assert a.eval_int(signs) == ref_eval(ra, variables, signs)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_evaluation(self, data):
+        variables = data.draw(VARIABLE_LISTS)
+        terms = ref_normalize(data.draw(term_maps(variables)))
+        poly = MultiPoly(variables, terms)
+        point = data.draw(integer_points(variables))
+        exact = ref_eval(terms, variables, point)
+        assert poly.eval_int(point) == exact
+        # Rounding error scales with the terms' magnitudes, not with their sum.
+        scale = ref_eval({e: abs(c) for e, c in terms.items()}, variables,
+                         {v: abs(value) for v, value in point.items()})
+        assert abs(poly.eval_complex(point) - exact) <= 1e-9 * max(1, scale)
