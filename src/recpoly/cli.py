@@ -91,11 +91,13 @@ def _parse_point(text: str, variables: Sequence[str]) -> dict[str, int]:
 # -- term engines ----------------------------------------------------------------
 
 
-def _closed_form_b(spec: RecurrenceSpec, engine: str) -> Callable[[int], MultiPoly]:
+def _closed_form_b(spec: RecurrenceSpec, engine: str,
+                   budget: Optional[int]) -> Callable[[int], MultiPoly]:
     cache: dict = {}
     if engine == "multinomial":
-        return lambda m: multinomial_term(spec.coeffs, m, power_cache=cache)
-    return lambda m: hessenberg_det_symbolic(spec.coeffs, m)
+        return lambda m: multinomial_term(spec.coeffs, m, power_cache=cache,
+                                          term_budget=budget)
+    return lambda m: hessenberg_det_symbolic(spec.coeffs, m, term_budget=budget)
 
 
 def compute_term(spec: RecurrenceSpec, n: int, engine: str,
@@ -108,7 +110,7 @@ def compute_term(spec: RecurrenceSpec, n: int, engine: str,
     if engine not in ("multinomial", "determinant"):
         raise UsageError(f"unknown engine {engine!r}")
     k = spec.order
-    b = _closed_form_b(spec, engine)
+    b = _closed_form_b(spec, engine, budget)
     if compose:
         # Generating-function numerator: P_n = sum_j N_j b_{n-j} with
         # N_j = P_j - sum_{i<=j} c_i P_{j-i}, which decomposes general
@@ -141,8 +143,9 @@ def _cmd_term(args) -> int:
     start = time.perf_counter_ns()
     value = compute_term(spec, args.n, args.engine, args.compose, args.budget)
     elapsed = time.perf_counter_ns() - start
-    _emit(args, value.canonical(), {
-        "kind": "term", "index": args.n, "value_canonical": value.canonical(),
+    text = value.canonical()
+    _emit(args, text, {
+        "kind": "term", "index": args.n, "value_canonical": text,
         "engine": args.engine, "elapsed_ns": elapsed,
     })
     return EXIT_OK
@@ -158,8 +161,9 @@ def _cmd_table(args) -> int:
                   for n in range(args.n_max + 1)]
     elapsed = time.perf_counter_ns() - start
     for n, value in enumerate(values):
-        _emit(args, f"{n}\t{value.canonical()}", {
-            "kind": "term", "index": n, "value_canonical": value.canonical(),
+        text = value.canonical()
+        _emit(args, f"{n}\t{text}", {
+            "kind": "term", "index": n, "value_canonical": text,
             "engine": args.engine, "elapsed_ns": elapsed,
         })
     return EXIT_OK

@@ -8,22 +8,34 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     base   := uint | var | '(' expr ')' | '-' base
 
 Exponents must be non-negative integer literals and variables must appear
-in the declared variable list.  Errors carry a 1-based column.
+in the declared variable list.  Errors carry a 1-based column.  Nesting
+deeper than MAX_NESTING levels is a ParseError, not a stack overflow.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .ring import MultiPoly
 
+# Deepest nesting either stage accepts, counted as the open parentheses and
+# unary minus signs around a subexpression.  ast_to_poly counts those the
+# AST needs written out, so it accepts every AST the parser builds.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
-    def __init__(self, message: str, column: int):
-        super().__init__(f"column {column}: {message}")
+    """Malformed expression text; ``column`` is 1-based, or None for an AST."""
+
+    def __init__(self, message: str, column: Optional[int] = None):
+        super().__init__(message if column is None else f"column {column}: {message}")
         self.column = column
+
+
+def _too_deep(column: Optional[int] = None) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_NESTING} levels", column)
 
 
 # -- AST ----------------------------------------------------------------------
@@ -70,6 +82,10 @@ class Pow:
 
 ExprAst = Union[Lit, Var, Add, Sub, Neg, Mul, Pow]
 
+# Nodes written without brackets as a '^' base, and as a factor of '*'.
+_BASES = (Lit, Var, Neg)
+_FACTORS = (*_BASES, Pow)
+
 
 # -- tokenizer ------------------------------------------------------------------
 
@@ -103,6 +119,7 @@ class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
         self.variables = tuple(variables)
 
     def peek(self) -> tuple[str, str, int]:
@@ -170,12 +187,17 @@ class _Parser:
                     column,
                 )
             return Var(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
+        if kind == "op" and value in "(-":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise _too_deep(column)
+            if value == "(":
+                node = self.expr()
+                self.expect_op(")")
+            else:
+                node = Neg(self.base())
+            self.depth -= 1
             return node
-        if kind == "op" and value == "-":
-            return Neg(self.base())
         raise ParseError(f"expected a number, variable, '(' or '-', got {value!r}"
                          if kind != "end" else "unexpected end of input", column)
 
@@ -186,22 +208,43 @@ def parse_expr(text: str, variables: Sequence[str]) -> ExprAst:
 
 
 def ast_to_poly(node: ExprAst, variables: Sequence[str]) -> MultiPoly:
+    """Lower an AST to a polynomial; ParseError past MAX_NESTING levels."""
     variables = tuple(variables)
-    if isinstance(node, Lit):
-        return MultiPoly.const(variables, node.value)
-    if isinstance(node, Var):
-        return MultiPoly.var(node.name, variables)
-    if isinstance(node, Add):
-        return ast_to_poly(node.left, variables) + ast_to_poly(node.right, variables)
-    if isinstance(node, Sub):
-        return ast_to_poly(node.left, variables) - ast_to_poly(node.right, variables)
-    if isinstance(node, Neg):
-        return -ast_to_poly(node.operand, variables)
-    if isinstance(node, Mul):
-        return ast_to_poly(node.left, variables) * ast_to_poly(node.right, variables)
-    if isinstance(node, Pow):
-        return ast_to_poly(node.base, variables) ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+
+    def lower(node: ExprAst, depth: int) -> MultiPoly:
+        if depth > MAX_NESTING:
+            raise _too_deep()
+        if isinstance(node, Lit):
+            return MultiPoly.const(variables, node.value)
+        if isinstance(node, Var):
+            return MultiPoly.var(node.name, variables)
+        if isinstance(node, Neg):
+            return -lower(node.operand, depth + 1)
+        if isinstance(node, Pow):
+            bracketed = not isinstance(node.base, _BASES)
+            return lower(node.base, depth + bracketed) ** node.exponent
+        if isinstance(node, (Add, Sub, Mul)):
+            # The parser builds sums and products left-deep, so walk the
+            # left spine in a loop: a long flat sum must not nest.
+            spine = []
+            while isinstance(node, (Add, Sub, Mul)):
+                spine.append(node)
+                node = node.left
+            acc = lower(node, depth)
+            for op in reversed(spine):
+                # A right operand that binds no tighter than op is bracketed.
+                tighter = _FACTORS if isinstance(op, Mul) else (*_FACTORS, Mul)
+                right = lower(op.right, depth + (not isinstance(op.right, tighter)))
+                if isinstance(op, Add):
+                    acc = acc + right
+                elif isinstance(op, Sub):
+                    acc = acc - right
+                else:
+                    acc = acc * right
+            return acc
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return lower(node, 0)
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:

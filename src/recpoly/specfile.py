@@ -119,4 +119,6 @@ def load_spec(path: str | Path) -> RecurrenceSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"document: invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise SpecFormatError("document: JSON nested too deeply") from exc
     return spec_from_mapping(doc)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +143,31 @@ class TestTermCommand:
         code, _, err = run(capsys, "term", "--family", "fibonacci2", "--n", "25",
                            "--budget", "3")
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize("engine", ["multinomial", "determinant"])
+    def test_budget_applies_to_closed_form_engines(self, capsys, engine):
+        code, out, err = run(capsys, "term", "--family", "fibonacci2", "--n", "6",
+                             "--engine", engine, "--budget", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+        code, out, _ = run(capsys, "term", "--family", "fibonacci2", "--n", "6",
+                           "--engine", engine, "--budget", "3")
+        assert code == 0 and out == "x^5 + 4*x^3*y + 3*x*y^2\n"
+
+    def test_deeply_nested_coefficient_exit_code(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"variables": ["x"], "order": 1,
+                                     "coefficients": ["(" * 3000 + "x" + ")" * 3000],
+                                     "initial": ["1"]})
+        code, out, err = run(capsys, "term", "--spec", path, "--n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "nested" in err and err.count("\n") == 1
+
+    def test_deeply_nested_json_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "term", "--spec", str(path), "--n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_spec_exit_code(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"variables": ["x"], "order": 1,
@@ -299,3 +327,30 @@ class TestBenchCommand:
                            "--engines", "iterate,companion,multinomial", "--compose",
                            "--reps", "1")
         assert code == 0
+
+
+class TestNoNumpy:
+    """recpoly has no runtime dependencies; importing numpy would cost every
+    process most of its start-up time."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    PROBE = """
+import runpy, sys
+try:
+    if sys.argv[1:]:
+        runpy.run_module("recpoly.cli", run_name="__main__", alter_sys=True)
+    else:
+        import recpoly
+finally:
+    print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+    @pytest.mark.parametrize("argv", [[], ["term", "--family", "fibonacci2", "--n", "5"]])
+    def test_numpy_is_not_imported(self, argv):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv],
+                              env=dict(os.environ, PYTHONPATH=os.path.join(self.ROOT, "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False\n"
+        if argv:
+            assert proc.stdout == "x^4 + 3*x^2*y + y^2\n"

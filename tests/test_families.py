@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recpoly import (
     IDENTITY_IDS,
@@ -6,6 +10,7 @@ from recpoly import (
     MultiPoly,
     Order2Family,
     StructuralError,
+    bareiss_det,
     check_identity,
     classical_family,
     dickson_D,
@@ -16,7 +21,7 @@ from recpoly import (
     tridiag_closed_form_check,
     tridiag_det_symbolic,
 )
-from recpoly.families import dickson_E_det_signflip_check, lucas_weight
+from recpoly.families import dickson_E_det_signflip_check, lu_det, lucas_weight
 
 XA = ("x", "a")
 X_ = MultiPoly.var("x", XA)
@@ -105,6 +110,16 @@ class TestDicksonPolynomials:
             assert dickson_D(n).eval_int({"x": 2, "a": 1}) == 2
             assert dickson_E(n).eval_int({"x": 2, "a": 1}) == n + 1
 
+    def test_self_check_raises_when_the_explicit_sum_disagrees(self, monkeypatch):
+        # The self-check must survive `python -O`, so it cannot be an assert.
+        wrong = lambda self, n: MultiPoly.zero(self.variables)
+        monkeypatch.setattr(Order2Family, "lucas_explicit", wrong)
+        with pytest.raises(StructuralError):
+            dickson_D(3)
+        monkeypatch.setattr(Order2Family, "fib_explicit", wrong)
+        with pytest.raises(StructuralError):
+            dickson_E(3)
+
 
 class TestTridiagonalDeterminants:
     def test_dickson_E_det_small(self):
@@ -145,6 +160,46 @@ class TestTridiagonalDeterminants:
     def test_closed_form_bad_n(self):
         with pytest.raises(StructuralError):
             tridiag_closed_form_check(1, 1, 1, 0)
+
+    def test_zero_diagonal_needs_row_exchanges(self):
+        # Elimination without pivoting would divide by the zero diagonal.
+        assert tridiag_closed_form_check(0, 1, 1, 6)
+        assert tridiag_closed_form_check(0, 1, 1, 5)
+        assert tridiag_closed_form_check(0, 2j, 1 - 1j, 7)
+        assert lu_det(_tridiag(0, 1, 1, 6)) == -1
+        assert lu_det(_tridiag(0, 1, 1, 5)) == 0
+        assert lu_det(_tridiag(0, 2j, 1 - 1j, 6)) == (-2j * (1 - 1j)) ** 3
+
+
+def _tridiag(b, a_sub, c_sup, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = b
+        if i + 1 < n:
+            rows[i + 1][i], rows[i][i + 1] = a_sub, c_sup
+    return rows
+
+
+class TestLuDet:
+    def test_small_cases(self):
+        assert lu_det([]) == 1
+        assert lu_det([[0, 1], [1, 0]]) == -1
+        assert lu_det([[1j, 0], [0, 1j]]) == -1
+
+    def test_non_square_rejected(self):
+        with pytest.raises(StructuralError):
+            lu_det([[1, 2, 3], [4, 5, 6]])
+
+    @settings(max_examples=300)
+    @given(st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(min_value=-9, max_value=9),
+                                    min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_agrees_with_exact_bareiss(self, rows):
+        # Relative to Hadamard's bound on |det|: a singular matrix has
+        # det 0, so its rounding error has no scale of its own.
+        scale = math.prod(max(1.0, math.hypot(*row)) for row in rows)
+        assert abs(lu_det(rows) - bareiss_det(rows)) <= 1e-9 * scale
 
 
 class TestIdentityCatalog:

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import multipolys
-from recpoly import MultiPoly, ParseError, parse_expr, parse_poly
-from recpoly.parse import Lit, Mul, Neg, Pow, Sub, Var
+from recpoly import MultiPoly, ParseError, ast_to_poly, parse_expr, parse_poly
+from recpoly.parse import MAX_NESTING, Lit, Mul, Neg, Pow, Sub, Var
 
 XA = ("x", "a")
 X_ = MultiPoly.var("x", XA)
@@ -87,6 +87,40 @@ class TestRejectsWithColumn:
     def test_illegal_character(self):
         assert self.err("x / 2").column == 3
         assert self.err("  @").column == 3
+
+
+class TestNesting:
+    @staticmethod
+    def err_for(text):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, XA)
+        return info.value
+
+    def test_deep_input_is_a_parse_error(self):
+        e = self.err_for("(" * 3000 + "x" + ")" * 3000)
+        assert e.column == MAX_NESTING + 1
+        assert "nested" in str(e)
+        assert self.err_for("-" * 3000 + "x").column == MAX_NESTING + 1
+
+    def test_limit_itself_is_accepted(self):
+        deep = MAX_NESTING
+        assert parse_poly("(" * deep + "x" + ")" * deep, XA) == X_
+        assert parse_poly("-" * deep + "x", XA) == X_
+        assert parse_poly("x*(" * deep + "x" + ")" * deep, XA) == X_ ** (deep + 1)
+        assert parse_poly("a+x*(" * deep + "1" + ")" * deep, XA).term_count() == deep + 1
+        assert parse_poly("(" * deep + "x" + ")^1" * deep, XA) == X_
+        assert parse_poly("-(" * (deep // 2) + "x" + ")" * (deep // 2), XA) == X_
+
+    def test_deep_ast_is_a_parse_error(self):
+        node = Var("x")
+        for _ in range(3000):
+            node = Neg(node)
+        with pytest.raises(ParseError):
+            ast_to_poly(node, XA)
+
+    def test_long_flat_sums_do_not_nest(self):
+        poly = MultiPoly(XA, {(e, 0): 1 for e in range(3000)})
+        assert parse_poly(poly.canonical(), XA) == poly
 
 
 class TestRoundtrip:
