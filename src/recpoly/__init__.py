@@ -2,9 +2,9 @@
 
 Exact sparse polynomial arithmetic, four mutually checking engines for
 order-k recurrences (iteration, multinomial closed form, Hessenberg
-determinant, companion-matrix power), numeric root-based engines, the
-order-2 Fibonacci/Lucas and Dickson families, and a machine-checked
-identity catalog.
+determinant, Fiduccia's X^n mod the characteristic polynomial), numeric
+root-based engines, the order-2 Fibonacci/Lucas and Dickson families, and a
+machine-checked identity catalog.
 """
 
 from .binet import (

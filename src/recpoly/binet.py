@@ -23,6 +23,7 @@ DEFAULT_COMPOSITION_BUDGET = 5_000_000
 CLUSTER_RADIUS = 1e-6
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 1000
+POLISH_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,31 @@ def _poly_eval(monic: Sequence[complex], z: complex) -> complex:
     return acc
 
 
+def _derivative(poly: Sequence[complex]) -> list[complex]:
+    degree = len(poly) - 1
+    return [c * (degree - i) for i, c in enumerate(poly[:-1])]
+
+
+def _polish(monic: Sequence[complex], root: complex, mult: int) -> complex:
+    """Refine the centroid of an m-fold cluster by Newton's method on the
+    (m-1)-th derivative, where the root is simple; simple roots are kept."""
+    if mult == 1:
+        return root
+    poly = list(monic)
+    for _ in range(mult - 1):
+        poly = _derivative(poly)
+    slope = _derivative(poly)
+    for _ in range(POLISH_STEPS):
+        denom = _poly_eval(slope, root)
+        if denom == 0:
+            break
+        step = _poly_eval(poly, root) / denom
+        root -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(root)):
+            break
+    return root
+
+
 def char_roots(coeff_values: Sequence[complex],
                max_iterations: int = MAX_ITERATIONS,
                residual_tol: float = RESIDUAL_TOL,
@@ -61,8 +87,12 @@ def char_roots(coeff_values: Sequence[complex],
 
     Durand-Kerner simultaneous iteration; roots within relative distance
     ``cluster_radius`` of each other are merged into one cluster represented
-    by its centroid, with summed multiplicity.  Raises RootFindingError when
-    a reported root's residual exceeds the tolerance at its scale.
+    by its centroid, with summed multiplicity.  Durand-Kerner locates an
+    m-fold root only to about the m-th root of the working precision, so
+    each centroid of multiplicity m >= 2 is polished by a few Newton steps
+    on the (m-1)-th derivative, where the root is simple.  Raises
+    RootFindingError when a reported root's residual exceeds the tolerance
+    at its scale.
     """
     k = len(coeff_values)
     if k < 1:
@@ -112,7 +142,7 @@ def char_roots(coeff_values: Sequence[complex],
     centroids = []
     mults = []
     for members in clusters.values():
-        centroids.append(sum(members) / len(members))
+        centroids.append(_polish(monic, sum(members) / len(members), len(members)))
         mults.append(len(members))
     order = sorted(range(len(centroids)),
                    key=lambda i: (centroids[i].real, centroids[i].imag))

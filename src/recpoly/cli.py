@@ -22,7 +22,7 @@ from .closedform import hessenberg_det_numeric_oracle, hessenberg_det_symbolic, 
 from .errors import BudgetExceededError, RootFindingError, StructuralError
 from .families import IDENTITY_IDS, TYPO_IDS, Order2Family, check_identity
 from .parse import ParseError, parse_poly
-from .recurrence import RecurrenceSpec, companion_power_term, iterate_terms
+from .recurrence import RecurrenceSpec, companion_power_term, iter_terms, iterate_terms
 from .ring import MultiPoly
 from .specfile import FAMILY_TAGS, SpecFormatError, family_spec, load_spec
 
@@ -153,14 +153,19 @@ def _cmd_term(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = _resolve_spec(args)
-    start = time.perf_counter_ns()
     if args.engine == "iterate":
-        values = iterate_terms(spec, args.n_max, term_budget=args.budget)
+        values = iter_terms(spec, args.n_max, term_budget=args.budget)
     else:
-        values = [compute_term(spec, n, args.engine, args.compose, args.budget)
-                  for n in range(args.n_max + 1)]
-    elapsed = time.perf_counter_ns() - start
-    for n, value in enumerate(values):
+        values = (compute_term(spec, n, args.engine, args.compose, args.budget)
+                  for n in range(args.n_max + 1))
+    # Each row carries the ns spent producing that row alone.
+    rows = []
+    start = time.perf_counter_ns()
+    for value in values:
+        now = time.perf_counter_ns()
+        rows.append((value, now - start))
+        start = now
+    for n, (value, elapsed) in enumerate(rows):
         text = value.canonical()
         _emit(args, f"{n}\t{text}", {
             "kind": "term", "index": n, "value_canonical": text,

@@ -126,8 +126,10 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]],
 
     Laplace expansion along the last column of each leading principal minor:
     d_m = sum_r (-1)^(m-r) a[r-1][m-1] (prod of subdiagonal entries) d_{r-1},
-    with d_0 = 1 (empty determinant).  ``term_budget`` caps the term count
-    of every product and partial sum.
+    with d_0 = 1 (empty determinant).  The sum for column m stops at its
+    topmost nonzero entry, so a banded matrix costs ring products in
+    proportion to its band, not to m; zeros inside the band are allowed.
+    ``term_budget`` caps the term count of every product and partial sum.
     """
     n = len(matrix)
     if n == 0:
@@ -136,9 +138,10 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]],
     minors = [MultiPoly.const(variables, 1)]
     for m in range(1, n + 1):
         acc = MultiPoly.zero(variables)
+        top = next((r for r in range(1, m + 1) if not matrix[r - 1][m - 1].is_zero()), m)
         subdiag_prod = MultiPoly.const(variables, 1)
         # r runs downward so the subdiagonal product can grow incrementally.
-        for r in range(m, 0, -1):
+        for r in range(m, top - 1, -1):
             entry = matrix[r - 1][m - 1]
             if not entry.is_zero():
                 term = entry * subdiag_prod * minors[r - 1]
@@ -148,7 +151,7 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]],
                 if term_budget is not None:
                     _charge(term, term_budget)
                     _charge(acc, term_budget)
-            if r > 1:
+            if r > top:
                 subdiag_prod = subdiag_prod * matrix[r - 1][r - 2]
                 if term_budget is not None:
                     _charge(subdiag_prod, term_budget)

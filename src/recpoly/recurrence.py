@@ -6,17 +6,19 @@ polynomial X^k - c_1 X^{k-1} - ... - c_k is derived from the coefficients
 and never stored.
 
 Engines here are plain iteration, the delta-initial basis sequences, the
-decomposition of an arbitrary solution over those basis sequences, and a
-companion-matrix power engine.  Symbolic terms can grow quickly for
-multivariate coefficients, so every engine accepts an optional term-count
-budget (maximum term count of any produced polynomial) and fails cleanly
-when it is exceeded.
+decomposition of an arbitrary solution over those basis sequences, and
+Fiduccia's method (SIAM J. Comput. 14(1), 1985), which reduces X^n modulo
+the characteristic polynomial by binary powering and reads P_n off the
+initial window.  Symbolic terms can grow quickly for multivariate
+coefficients, so every engine accepts an optional term-count budget
+(maximum term count of any produced polynomial) and fails cleanly when it
+is exceeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, StructuralError
 from .ring import MultiPoly
@@ -83,18 +85,25 @@ def _charge(poly: MultiPoly, budget: Optional[int]) -> MultiPoly:
     return poly
 
 
-def iterate_terms(spec: RecurrenceSpec, n_max: int,
-                  term_budget: Optional[int] = None) -> list[MultiPoly]:
-    """Return [P_0, ..., P_{n_max}] by direct iteration of the recurrence."""
+def iter_terms(spec: RecurrenceSpec, n_max: int,
+               term_budget: Optional[int] = None) -> Iterator[MultiPoly]:
+    """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per item."""
     if n_max < 0:
         raise StructuralError(f"n_max must be >= 0, got {n_max}")
     terms = list(spec.initial[: n_max + 1])
+    yield from terms
     while len(terms) <= n_max:
         nxt = MultiPoly.zero(spec.variables)
         for i, c in enumerate(spec.coeffs, start=1):
             nxt = nxt + c * terms[-i]
         terms.append(_charge(nxt, term_budget))
-    return terms
+        yield terms[-1]
+
+
+def iterate_terms(spec: RecurrenceSpec, n_max: int,
+                  term_budget: Optional[int] = None) -> list[MultiPoly]:
+    """Return [P_0, ..., P_{n_max}] by direct iteration of the recurrence."""
+    return list(iter_terms(spec, n_max, term_budget))
 
 
 def basis_sequence(spec: RecurrenceSpec, j: int, n_max: int,
@@ -124,58 +133,53 @@ def decompose_check(spec: RecurrenceSpec, n_max: int,
     return True, None
 
 
-def _mat_mul(a, b, budget: Optional[int]):
-    k = len(a)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(_charge(acc, budget))
-        out.append(row)
-    return out
-
-
-def companion_matrix(spec: RecurrenceSpec) -> list[list[MultiPoly]]:
-    """Companion matrix M with state vector (P_n, ..., P_{n+k-1}).
-
-    Rows 0..k-2 shift the window; the last row applies the recurrence, so
-    M . (P_n, ..., P_{n+k-1})^T = (P_{n+1}, ..., P_{n+k})^T.
-    """
+def _reduce(poly: list[MultiPoly], spec: RecurrenceSpec,
+            budget: Optional[int]) -> list[MultiPoly]:
+    """Reduce a coefficient list (constant term first, overwritten) modulo
+    the characteristic polynomial, using X^k = sum_i c_i X^(k-i)."""
     k = spec.order
-    zero = MultiPoly.zero(spec.variables)
-    one = MultiPoly.const(spec.variables, 1)
-    rows = []
-    for i in range(k - 1):
-        rows.append([one if j == i + 1 else zero for j in range(k)])
-    # P_{n+k} = c_1 P_{n+k-1} + ... + c_k P_n
-    rows.append([spec.coeffs[k - 1 - j] for j in range(k)])
-    return rows
+    for d in range(len(poly) - 1, k - 1, -1):
+        top = poly[d]
+        if top.is_zero():
+            continue
+        for i, c in enumerate(spec.coeffs, start=1):
+            if not c.is_zero():
+                poly[d - i] = poly[d - i] + top * c
+    return [_charge(r, budget) for r in poly[:k]]
 
 
 def companion_power_term(spec: RecurrenceSpec, n: int,
                          term_budget: Optional[int] = None) -> MultiPoly:
-    """P_n via binary exponentiation of the companion matrix."""
+    """P_n by Fiduccia's method: R(X) = X^n mod chi(X), then P_n = sum_j r_j P_j.
+
+    R is built by left-to-right binary powering: each bit squares R and
+    reduces it, and a set bit multiplies by X (a shift plus one reduction).
+    A step costs O(k^2) ring products, and any initial window works.
+    """
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     k = spec.order
     if n < k:
         return spec.initial[n]
     zero = MultiPoly.zero(spec.variables)
-    one = MultiPoly.const(spec.variables, 1)
-    power = [[one if i == j else zero for j in range(k)] for i in range(k)]
-    base = companion_matrix(spec)
-    m = n
-    while m:
-        if m & 1:
-            power = _mat_mul(power, base, term_budget)
-        m >>= 1
-        if m:
-            base = _mat_mul(base, base, term_budget)
-    # First state component after n steps from (P_0, ..., P_{k-1}).
-    acc = power[0][0] * spec.initial[0]
-    for j in range(1, k):
-        acc = acc + power[0][j] * spec.initial[j]
+    # The leading bit of n gives R = X mod chi (a reduction only when k = 1).
+    r = _reduce([zero, MultiPoly.const(spec.variables, 1)] + [zero] * (k - 1),
+                spec, term_budget)
+    for bit in bin(n)[3:]:
+        # R^2 from the products r_i r_j with i <= j: cross terms count twice.
+        nonzero = [i for i in range(k) if not r[i].is_zero()]
+        sq = [zero] * (2 * k - 1)
+        for a, i in enumerate(nonzero):
+            for j in nonzero[a + 1:]:
+                sq[i + j] = sq[i + j] + r[i] * r[j]
+        sq = [p + p for p in sq]
+        for i in nonzero:
+            sq[2 * i] = sq[2 * i] + r[i] * r[i]
+        if bit == "1":
+            sq = [zero] + sq
+        r = _reduce(sq, spec, term_budget)
+    acc = zero
+    for rj, pj in zip(r, spec.initial):
+        if not rj.is_zero() and not pj.is_zero():
+            acc = acc + rj * pj
     return _charge(acc, term_budget)

@@ -245,16 +245,15 @@ class MultiPoly:
         values = [complex(v) for v in self._point_values(point)]
         nvars = len(values)
         items = [(_unpack(key, nvars), coeff) for key, coeff in self.terms.items()]
-        # Power tables keep the rounding error at O(terms) multiplications.
-        max_exp = [0] * nvars
-        for exps, _ in items:
-            for i, e in enumerate(exps):
-                max_exp[i] = max(max_exp[i], e)
+        # Powers only at the exponents the terms use, each built from the
+        # previous one, so the cost follows the terms and not the exponents.
         powers = []
-        for val, top in zip(values, max_exp):
-            row = [1.0 + 0.0j]
-            for _ in range(top):
-                row.append(row[-1] * val)
+        for i, val in enumerate(values):
+            row = {0: 1.0 + 0.0j}
+            prev = 0
+            for e in sorted({exps[i] for exps, _ in items} - {0}):
+                row[e] = row[prev] * _complex_power(val, e - prev)
+                prev = e
             powers.append(row)
         total = 0.0 + 0.0j
         for exps, coeff in items:
@@ -307,6 +306,18 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.canonical()!r}, vars={list(self.variables)})"
+
+
+def _complex_power(val: complex, e: int) -> complex:
+    """val**e for e >= 1 by binary powering; overflow gives inf, not an error."""
+    result = None
+    while True:
+        if e & 1:
+            result = val if result is None else result * val
+        e >>= 1
+        if not e:
+            return result
+        val = val * val
 
 
 def _raw(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import strategies as st
 
 from recpoly import MultiPoly
@@ -39,3 +40,17 @@ def multipolys(variables: tuple[str, ...] = VARS, **kwargs):
 @st.composite
 def integer_points(draw, variables: tuple[str, ...] = VARS, bound: int = 9):
     return {v: draw(st.integers(min_value=-bound, max_value=bound)) for v in variables}
+
+
+@pytest.fixture
+def ring_products(monkeypatch):
+    """A one-item list holding the number of MultiPoly.__mul__ calls so far."""
+    calls = [0]
+    original = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    return calls

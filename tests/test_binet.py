@@ -44,6 +44,22 @@ class TestCharRoots:
         assert profile.mults == (2,)
         assert abs(profile.roots[0] - 2) < 1e-5
 
+    def test_double_roots_meet_the_catalog_tolerance(self):
+        # (X - a)^2 (X - b): a double root located only to about the square
+        # root of the working precision puts h_150 off by up to 2e-6 relative.
+        n = 150
+        for a in range(2, 10):
+            for b in range(2, 10):
+                if a == b:
+                    continue
+                coeffs = [2 * a + b, -(a * a + 2 * a * b), a * a * b]
+                h = [0, 0, 1]  # delta initials; h_n is term n + 2
+                while len(h) < n + 3:
+                    h.append(coeffs[0] * h[-1] + coeffs[1] * h[-2] + coeffs[2] * h[-3])
+                profile = char_roots(coeffs)
+                assert sorted(profile.mults) == [1, 2]
+                assert abs(binet_multiple(profile, n) - h[n + 2]) <= 1e-8 * h[n + 2], (a, b)
+
     def test_complex_pair(self):
         # X^2 + 1: roots +-i.
         profile = char_roots([0, -1])

@@ -212,6 +212,16 @@ class TestTableCommand:
                            "--engine", "multinomial")
         assert out_it == out_mn
 
+    @pytest.mark.parametrize("engine", ["iterate", "companion"])
+    def test_json_lines_rows_carry_their_own_time(self, capsys, engine):
+        code, out, _ = run(capsys, "table", "--family", "generalized-lucas", "--order", "3",
+                           "--n-max", "30", "--engine", engine, "--format", "json-lines")
+        assert code == 0
+        stamps = [json.loads(line)["elapsed_ns"] for line in out.splitlines()]
+        assert len(stamps) == 31
+        assert all(isinstance(ns, int) and ns >= 0 for ns in stamps)
+        assert len(set(stamps)) > 1
+
 
 class TestDetCommand:
     def test_symbolic(self, capsys):

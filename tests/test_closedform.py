@@ -2,9 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import VARS, multipolys
 from recpoly import (
     MultiPoly,
+    RecurrenceSpec,
     StructuralError,
     bareiss_det,
     generalized_lucas,
@@ -18,6 +22,34 @@ from recpoly import (
 )
 from recpoly.closedform import hessenberg_det, hessenberg_matrix, multinomial
 from support import random_delta_spec
+
+
+def full_expansion_det(matrix):
+    """Reference: the Laplace expansion of each column over every row, zero
+    entries included, with no shortcut for the band."""
+    variables = matrix[0][0].variables
+    minors = [MultiPoly.const(variables, 1)]
+    for m in range(1, len(matrix) + 1):
+        acc = MultiPoly.zero(variables)
+        subdiag_prod = MultiPoly.const(variables, 1)
+        for r in range(m, 0, -1):
+            term = matrix[r - 1][m - 1] * subdiag_prod * minors[r - 1]
+            acc = acc + (-term if (m - r) % 2 else term)
+            if r > 1:
+                subdiag_prod = subdiag_prod * matrix[r - 1][r - 2]
+        minors.append(acc)
+    return minors[-1]
+
+
+@st.composite
+def hessenberg_matrices(draw):
+    """Upper-Hessenberg matrices with zeros inside the band, nonzeros far
+    above the diagonal and zero subdiagonal entries all possible."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    variables = VARS[: draw(st.integers(min_value=0, max_value=2))]
+    zero = MultiPoly.zero(variables)
+    entry = st.one_of(st.just(zero), multipolys(variables, max_terms=2, max_exp=1, coeff_bound=5))
+    return [[draw(entry) if j >= i - 1 else zero for j in range(n)] for i in range(n)]
 
 
 def coeff_vars(k):
@@ -131,6 +163,24 @@ class TestHessenbergEngine:
             for n in range(7):
                 assert (hessenberg_det_symbolic(spec.coeffs, n)
                         == multinomial_term(spec.coeffs, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hessenberg_matrices(), st.data())
+    def test_matches_full_expansion(self, matrix, data):
+        det = hessenberg_det(matrix)
+        assert det == full_expansion_det(matrix)
+        point = {v: data.draw(st.integers(min_value=-3, max_value=3)) for v in det.variables}
+        assert det.eval_int(point) == bareiss_det([[e.eval_int(point) for e in row]
+                                                   for row in matrix])
+
+    def test_products_follow_the_band(self, ring_products):
+        # Integer Fibonacci: k = 2 nonzero diagonals on and above the diagonal.
+        one = MultiPoly.const((), 1)
+        k, n = 2, 400
+        value = hessenberg_det_symbolic([one] * k, n)
+        assert ring_products[0] <= 3 * k * n
+        fibonacci = RecurrenceSpec.make((), [one, one], [MultiPoly.zero(()), one])
+        assert value == iterate_terms(fibonacci, n + 1)[n + 1]
 
 
 class TestBareiss:

@@ -14,7 +14,23 @@ from recpoly import (
     decompose_check,
     iterate_terms,
 )
+from conftest import VARS, multipolys
+from recpoly.closedform import generalized_lucas_spec
+from recpoly.specfile import family_spec
 from support import random_delta_spec, random_general_spec
+
+
+@st.composite
+def general_specs(draw):
+    """Order 1-4 over 0-2 variables, general initials, sometimes c_k = 0."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    variables = VARS[: draw(st.integers(min_value=0, max_value=2))]
+    small = multipolys(variables, max_terms=2, max_exp=1, coeff_bound=3)
+    coeffs = draw(st.lists(small, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        coeffs[-1] = MultiPoly.zero(variables)
+    initial = draw(st.lists(small, min_size=k, max_size=k))
+    return RecurrenceSpec.make(variables, coeffs, initial)
 
 
 def fib_spec() -> RecurrenceSpec:
@@ -151,6 +167,21 @@ class TestCompanionEngine:
         point = {v: 2 for v in spec.variables}
         expected = iterate_terms(spec, n)[n].eval_int(point)
         assert companion_power_term(spec, n).eval_int(point) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(general_specs(), st.integers(min_value=0, max_value=80))
+    def test_matches_iteration_on_general_specs(self, spec, n):
+        assert companion_power_term(spec, n) == iterate_terms(spec, n)[n]
+
+    @pytest.mark.parametrize("spec, n", [
+        (generalized_lucas_spec(3), 60),
+        (family_spec("dickson-d"), 200),
+    ])
+    def test_products_per_bit_are_quadratic_in_the_order(self, ring_products, spec, n):
+        k = spec.order
+        value = companion_power_term(spec, n)
+        assert ring_products[0] <= (k * k + 2 * k) * n.bit_length() + k
+        assert value == iterate_terms(spec, n)[n]
 
     def test_shift_property(self):
         # Appending one recurrence step equals advancing the index by one.

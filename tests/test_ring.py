@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,25 @@ from hypothesis import strategies as st
 from conftest import VARS, integer_points, multipolys, term_maps
 from recpoly import MultiPoly, QuadExtElem, StructuralError, VariableMismatchError, parse_poly
 from recpoly.ring import DEGREE_GUARD
+
+
+def table_eval(terms, variables, point):
+    """Complex evaluation from a table of every power of each variable."""
+    values = [complex(point[v]) for v in variables]
+    powers = []
+    for i, val in enumerate(values):
+        row = [1.0 + 0.0j]
+        for _ in range(max((exps[i] for exps in terms), default=0)):
+            row.append(row[-1] * val)
+        powers.append(row)
+    total = 0.0 + 0.0j
+    for exps, coeff in terms.items():
+        term = complex(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term *= powers[i][e]
+        total += term
+    return total
 
 
 def p(text_terms, variables):
@@ -81,6 +103,33 @@ class TestEvaluation:
         assert abs((x**2 + 1).eval_complex({"x": 1j})) < 1e-12
         assert (x).eval_complex({"x": 2.5}) == 2.5
         assert abs((x**2 - 2).eval_complex({"x": 2**0.5})) < 1e-12
+
+    def test_eval_complex_cost_follows_the_terms(self):
+        variables = ("x", "y", "z")
+        poly = parse_poly("x^1000000 + y^1000000 + z^1000000", variables)
+        tracemalloc.start()
+        try:
+            assert poly.eval_complex({"x": 1, "y": 1, "z": 1}) == 3
+            assert poly.eval_complex({"x": 1j, "y": -1, "z": 1}) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A table of every power up to 10^6 per variable would take over 100 MB.
+        assert peak < 10**6
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_eval_complex_with_consecutive_exponents_is_unchanged(self, data):
+        # Every exponent 0..d_i of every variable occurs, so each power is the
+        # previous one times the value, exactly as in a full power table.
+        variables = data.draw(VARIABLE_LISTS)
+        degrees = [data.draw(st.integers(min_value=0, max_value=5)) for _ in variables]
+        coeff = st.integers(min_value=1, max_value=99)
+        terms = {exps: data.draw(coeff)
+                 for exps in itertools.product(*(range(d + 1) for d in degrees))}
+        part = st.floats(min_value=-3, max_value=3)
+        point = {v: complex(data.draw(part), data.draw(part)) for v in variables}
+        assert MultiPoly(variables, terms).eval_complex(point) == table_eval(terms, variables, point)
 
 
 class TestCanonicalString:
