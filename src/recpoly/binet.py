@@ -193,36 +193,31 @@ def binet_distinct(profile: RootProfile, n: int,
     """P^(k-1)_{n+k-1} = sum over i_1+...+i_k = n of alpha_1^{i_1}...alpha_k^{i_k}."""
     if not profile.all_simple():
         raise StructuralError("binet_distinct requires all multiplicities equal to 1")
-    if n < 0:
-        raise StructuralError(f"n must be >= 0, got {n}")
-    k = len(profile.roots)
-    _check_budget(n, k, budget)
-    powers = [_power_table(root, n) for root in profile.roots]
-    total = 0j
-    for counts in compositions(n, k):
-        term = 1 + 0j
-        for row, e in zip(powers, counts):
-            term *= row[e]
-        total += term
-    return total
+    return binet_multiple(profile, n, budget)
 
 
 def binet_multiple(profile: RootProfile, n: int,
                    budget: int = DEFAULT_COMPOSITION_BUDGET) -> complex:
     """The binomial-weighted composition sum over the distinct roots.
 
-    Reduces to :func:`binet_distinct` when every multiplicity is 1.
+    Equals :func:`binet_distinct` when every multiplicity is 1.
     """
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     s = len(profile.roots)
     _check_budget(n, s, budget)
-    powers = [_power_table(root, n) for root in profile.roots]
+    # Each row holds binom(e+m-1, e) alpha^e; a simple root's weights are 1.
+    powers = []
+    for root, mult in zip(profile.roots, profile.mults):
+        row = _power_table(root, n)
+        if mult > 1:
+            row = [math.comb(e + mult - 1, e) * p for e, p in enumerate(row)]
+        powers.append(row)
     total = 0j
     for counts in compositions(n, s):
         term = 1 + 0j
-        for j, e in enumerate(counts):
-            term *= math.comb(e + profile.mults[j] - 1, e) * powers[j][e]
+        for row, e in zip(powers, counts):
+            term *= row[e]
         total += term
     return total
 

@@ -15,23 +15,21 @@ import json
 import statistics
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .binet import char_roots
-from .closedform import hessenberg_det_numeric_oracle, hessenberg_det_symbolic, multinomial_term
+from .closedform import hessenberg_det_numeric_oracle, hessenberg_det_symbolic
+from .engines import ENGINES, compute_term, table_terms
 from .errors import BudgetExceededError, RootFindingError, StructuralError
 from .families import IDENTITY_IDS, TYPO_IDS, Order2Family, check_identity
 from .parse import ParseError, parse_poly
-from .recurrence import RecurrenceSpec, companion_power_term, iter_terms, iterate_terms
-from .ring import MultiPoly
+from .recurrence import RecurrenceSpec
 from .specfile import FAMILY_TAGS, SpecFormatError, family_spec, load_spec
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-ENGINES = ("iterate", "multinomial", "determinant", "companion")
 
 
 class UsageError(ValueError):
@@ -88,53 +86,6 @@ def _parse_point(text: str, variables: Sequence[str]) -> dict[str, int]:
     return point
 
 
-# -- term engines ----------------------------------------------------------------
-
-
-def _closed_form_b(spec: RecurrenceSpec, engine: str,
-                   budget: Optional[int]) -> Callable[[int], MultiPoly]:
-    cache: dict = {}
-    if engine == "multinomial":
-        return lambda m: multinomial_term(spec.coeffs, m, power_cache=cache,
-                                          term_budget=budget)
-    return lambda m: hessenberg_det_symbolic(spec.coeffs, m, term_budget=budget)
-
-
-def compute_term(spec: RecurrenceSpec, n: int, engine: str,
-                 compose: bool = False, budget: Optional[int] = None) -> MultiPoly:
-    """P_n by the requested engine (consistent indexing across engines)."""
-    if engine == "iterate":
-        return iterate_terms(spec, n, term_budget=budget)[n]
-    if engine == "companion":
-        return companion_power_term(spec, n, term_budget=budget)
-    if engine not in ("multinomial", "determinant"):
-        raise UsageError(f"unknown engine {engine!r}")
-    k = spec.order
-    b = _closed_form_b(spec, engine, budget)
-    if compose:
-        # Generating-function numerator: P_n = sum_j N_j b_{n-j} with
-        # N_j = P_j - sum_{i<=j} c_i P_{j-i}, which decomposes general
-        # initials over the delta-initial sequence.
-        numerator = []
-        for j in range(k):
-            nj = spec.initial[j]
-            for i in range(1, j + 1):
-                nj = nj - spec.coeffs[i - 1] * spec.initial[j - i]
-            numerator.append(nj)
-        total = MultiPoly.zero(spec.variables)
-        for j in range(min(k - 1, n) + 1):
-            total = total + numerator[j] * b(n - j)
-        return total
-    if not spec.has_delta_initials():
-        raise UsageError(
-            f"engine {engine!r} computes the delta-initial sequence; "
-            "this spec has general initials (use --compose)"
-        )
-    if n < k - 1:
-        return spec.initial[n]
-    return b(n - k + 1)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -153,11 +104,7 @@ def _cmd_term(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = _resolve_spec(args)
-    if args.engine == "iterate":
-        values = iter_terms(spec, args.n_max, term_budget=args.budget)
-    else:
-        values = (compute_term(spec, n, args.engine, args.compose, args.budget)
-                  for n in range(args.n_max + 1))
+    values = table_terms(spec, args.n_max, args.engine, args.compose, args.budget)
     # Each row carries the ns spent producing that row alone.
     rows = []
     start = time.perf_counter_ns()

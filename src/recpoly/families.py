@@ -132,18 +132,21 @@ def dickson_family() -> Order2Family:
     return Order2Family(MultiPoly.var("x", variables), -MultiPoly.var("a", variables))
 
 
+def _dickson_vars() -> tuple[Order2Family, MultiPoly, MultiPoly]:
+    """The Dickson family and its x and a (q1 = x, q2 = -a)."""
+    fam = dickson_family()
+    return fam, fam.q1, -fam.q2
+
+
 def _dickson_lists(n_max: int) -> tuple[list[MultiPoly], list[MultiPoly]]:
     fam = dickson_family()
-    x = fam.q1
-    d = iterate_terms(fam._spec(2, x), n_max)
-    e = iterate_terms(fam._spec(1, x), n_max)
-    return d, e
+    return iterate_terms(fam.lucas_spec(), n_max), iterate_terms(fam._spec(1, fam.q1), n_max)
 
 
 def dickson_D(n: int) -> MultiPoly:
     """Dickson polynomial of the first kind, recurrence and explicit sum agreeing."""
     fam = dickson_family()
-    value = iterate_terms(fam._spec(2, fam.q1), n)[n]
+    value = fam.lucas(n)
     if n >= 1 and value != fam.lucas_explicit(n):
         raise StructuralError(f"D_{n}: the recurrence and the explicit sum disagree")
     return value
@@ -177,20 +180,15 @@ def dickson_E_det(n: int) -> MultiPoly:
     subdiagonal +1)."""
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
-    variables = ("x", "a")
-    x = MultiPoly.var("x", variables)
-    a = MultiPoly.var("a", variables)
-    one = MultiPoly.const(variables, 1)
-    return tridiag_det_symbolic(x, a, one, n)
+    _, x, a = _dickson_vars()
+    return tridiag_det_symbolic(x, a, MultiPoly.const(x.variables, 1), n)
 
 
 def dickson_E_det_signflip_check(n: int) -> bool:
     """The proof's similarity step: flipping both off-diagonal bands'
     signs leaves the tridiagonal determinant unchanged."""
-    variables = ("x", "a")
-    x = MultiPoly.var("x", variables)
-    a = MultiPoly.var("a", variables)
-    one = MultiPoly.const(variables, 1)
+    _, x, a = _dickson_vars()
+    one = MultiPoly.const(x.variables, 1)
     return tridiag_det_symbolic(x, a, one, n) == tridiag_det_symbolic(x, -a, -one, n)
 
 
@@ -515,12 +513,6 @@ def _catalog() -> dict[str, Callable]:
     catalog["thm-5.6-1"] = make_5_6(+1, False)
     catalog["thm-5.6-2"] = make_5_6(-1, False)
     catalog["thm-5.6-3"] = make_5_6(+1, True)
-
-    def _dickson_vars():
-        fam = dickson_family()
-        x = fam.q1
-        a = -fam.q2
-        return fam, x, a
 
     def thm_5_7_a(fam, n_max, p_max, m_max, seed):
         _, x, a = _dickson_vars()

@@ -92,7 +92,7 @@ _FACTORS = (*_BASES, Pow)
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -105,7 +105,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {stripped[0]!r}", col)
         column = match.start(match.lastindex) + 1
         if match.group(1) is not None:
-            tokens.append(("int", match.group(1), column))
+            try:
+                tokens.append(("int", int(match.group(1)), column))
+            except ValueError:  # past the interpreter's int/str conversion limit
+                digits = len(match.group(1))
+                raise ParseError(f"integer literal of {digits} digits is too long", column) from None
         elif match.group(2) is not None:
             tokens.append(("name", match.group(2), column))
         else:
@@ -122,10 +126,10 @@ class _Parser:
         self.depth = 0
         self.variables = tuple(variables)
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> tuple[str, str | int, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> tuple[str, str, int]:
+    def advance(self) -> tuple[str, str | int, int]:
         token = self.tokens[self.index]
         self.index += 1
         return token
@@ -140,7 +144,7 @@ class _Parser:
         node = self.expr()
         kind, value, column = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", column)
+            raise ParseError(f"unexpected token {str(value)!r}", column)
         return node
 
     def expr(self) -> ExprAst:
@@ -173,13 +177,13 @@ class _Parser:
             if ekind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", ecolumn)
             self.advance()
-            return Pow(node, int(evalue))
+            return Pow(node, evalue)
         return node
 
     def base(self) -> ExprAst:
         kind, value, column = self.advance()
         if kind == "int":
-            return Lit(int(value))
+            return Lit(value)
         if kind == "name":
             if value not in self.variables:
                 raise ParseError(

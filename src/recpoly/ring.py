@@ -123,10 +123,6 @@ class MultiPoly:
             return -1
         return max(self.terms) >> (len(self.variables) * _FIELD_BITS)
 
-    def constant_value(self) -> int:
-        """The coefficient of the constant monomial."""
-        return self.terms.get(0, 0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -198,15 +194,7 @@ class MultiPoly:
     def __pow__(self, m: int) -> "MultiPoly":
         if not isinstance(m, int) or m < 0:
             raise StructuralError(f"exponent must be a non-negative integer, got {m!r}")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return _power(self, m) if m else MultiPoly.const(self.variables, 1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -252,7 +240,7 @@ class MultiPoly:
             row = {0: 1.0 + 0.0j}
             prev = 0
             for e in sorted({exps[i] for exps, _ in items} - {0}):
-                row[e] = row[prev] * _complex_power(val, e - prev)
+                row[e] = row[prev] * _power(val, e - prev)
                 prev = e
             powers.append(row)
         total = 0.0 + 0.0j
@@ -308,16 +296,21 @@ class MultiPoly:
         return f"MultiPoly({self.canonical()!r}, vars={list(self.variables)})"
 
 
-def _complex_power(val: complex, e: int) -> complex:
-    """val**e for e >= 1 by binary powering; overflow gives inf, not an error."""
+def _power(base, e: int):
+    """base**e for e >= 1 by binary powering; complex overflow gives inf.
+
+    The result starts from the lowest set bit's power, not from a unit (a
+    complex unit turns inf into inf+nanj), and nothing is squared after the
+    highest bit, so DEGREE_GUARD trips only on a product the result needs.
+    """
     result = None
     while True:
         if e & 1:
-            result = val if result is None else result * val
+            result = base if result is None else result * base
         e >>= 1
         if not e:
             return result
-        val = val * val
+        base = base * base
 
 
 def _raw(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
@@ -377,15 +370,7 @@ class QuadExtElem:
     def __pow__(self, m: int) -> "QuadExtElem":
         if not isinstance(m, int) or m < 0:
             raise StructuralError(f"exponent must be a non-negative integer, got {m!r}")
-        result = QuadExtElem.one(self.delta)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return _power(self, m) if m else QuadExtElem.one(self.delta)
 
     def conjugate(self) -> "QuadExtElem":
         return QuadExtElem(self.u, -self.v, self.delta)

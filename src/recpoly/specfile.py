@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .closedform import generalized_lucas_spec
+from .families import Order2Family, dickson_family
 from .parse import ParseError, parse_poly
 from .recurrence import RecurrenceSpec
 from .ring import MultiPoly
@@ -38,19 +39,11 @@ def family_spec(tag: str, order: int | None = None) -> RecurrenceSpec:
     """Expand a family preset tag into a RecurrenceSpec."""
     if tag in ("fibonacci2", "lucas2"):
         variables = ("x", "y")
-        q1 = MultiPoly.var("x", variables)
-        q2 = MultiPoly.var("y", variables)
-        zero = MultiPoly.zero(variables)
-        one = MultiPoly.const(variables, 1)
-        two = MultiPoly.const(variables, 2)
-        initial = [zero, one] if tag == "fibonacci2" else [two, q1]
-        return RecurrenceSpec.make(variables, [q1, q2], initial)
+        family = Order2Family(MultiPoly.var("x", variables), MultiPoly.var("y", variables))
+        return family.fib_spec() if tag == "fibonacci2" else family.lucas_spec()
     if tag in ("dickson-d", "dickson-e"):
-        variables = ("x", "a")
-        x = MultiPoly.var("x", variables)
-        a = MultiPoly.var("a", variables)
-        initial = [MultiPoly.const(variables, 2 if tag == "dickson-d" else 1), x]
-        return RecurrenceSpec.make(variables, [x, -a], initial)
+        family = dickson_family()
+        return family.lucas_spec() if tag == "dickson-d" else family._spec(1, family.q1)
     if tag == "generalized-lucas":
         if order is None:
             raise SpecFormatError("family 'generalized-lucas' requires field 'order'")

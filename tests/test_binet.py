@@ -128,6 +128,16 @@ class TestBinetDistinct:
         with pytest.raises(StructuralError):
             binet_distinct(profile, 3)
 
+    def test_is_binet_multiple_on_simple_profiles(self):
+        profiles = [char_roots([1, 1]), char_roots([2, 5, -6]), char_roots([0, 0, 0, -1]),
+                    char_roots([1, -1, 3]), RootProfile((2 + 0j, 5 + 0j, 9 + 0j), (1, 1, 1))]
+        for profile in profiles:
+            assert profile.all_simple()
+            for n in range(40):
+                assert binet_distinct(profile, n) == binet_multiple(profile, n)
+        with pytest.raises(StructuralError):
+            binet_distinct(RootProfile((4 + 0j, 6 + 0j), (2, 1)), 5)
+
     def test_budget(self):
         profile = char_roots([0, 0, 0, -1])  # X^4 + 1: four simple roots
         with pytest.raises(BudgetExceededError):

@@ -5,8 +5,18 @@ import sys
 
 import pytest
 
-from recpoly import MultiPoly, SpecFormatError, family_spec, load_spec, spec_from_mapping
-from recpoly.cli import compute_term, main
+from recpoly import (
+    MultiPoly,
+    Order2Family,
+    SpecFormatError,
+    StructuralError,
+    dickson_family,
+    family_spec,
+    load_spec,
+    spec_from_mapping,
+)
+from recpoly.cli import main
+from recpoly.engines import ENGINES, compute_term
 
 
 def run(capsys, *argv):
@@ -47,6 +57,15 @@ class TestSpecDocuments:
         assert e.initial[0] == 1
         gl = family_spec("generalized-lucas", 3)
         assert gl.order == 3 and gl.variables == ("x1", "x2", "x3")
+
+    def test_family_presets_are_the_family_constructors(self):
+        xy = ("x", "y")
+        order2 = Order2Family(MultiPoly.var("x", xy), MultiPoly.var("y", xy))
+        assert family_spec("fibonacci2") == order2.fib_spec()
+        assert family_spec("lucas2") == order2.lucas_spec()
+        dickson = dickson_family()
+        assert family_spec("dickson-d") == dickson.lucas_spec()
+        assert family_spec("dickson-e") == dickson._spec(1, dickson.q1)
 
     def test_generalized_lucas_needs_order(self):
         with pytest.raises(SpecFormatError):
@@ -91,13 +110,12 @@ class TestComputeTerm:
         spec = load_spec(write_spec(tmp_path, CUSTOM_DOC))
         for n in range(9):
             reference = compute_term(spec, n, "iterate")
-            for engine in ("companion", "multinomial", "determinant"):
+            for engine in ENGINES:
                 assert compute_term(spec, n, engine) == reference, (engine, n)
 
     def test_closed_form_needs_delta_or_compose(self):
         spec = family_spec("lucas2")
-        from recpoly.cli import UsageError
-        with pytest.raises(UsageError):
+        with pytest.raises(StructuralError):
             compute_term(spec, 4, "multinomial")
         # --compose decomposes general initials over the delta basis.
         from recpoly import iterate_terms
@@ -192,6 +210,20 @@ class TestTermCommand:
             assert code == 0, err
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_closed_form_on_general_initials_exit_code(self, capsys):
+        code, out, err = run(capsys, "term", "--family", "lucas2", "--n", "5",
+                             "--engine", "multinomial")
+        assert code == 2 and out == ""
+        assert err == ("error: engine 'multinomial' computes the delta-initial sequence; "
+                       "this spec has general initials (use --compose)\n")
+
+    def test_long_integer_literal_exit_code(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"variables": ["x"], "order": 2,
+                                     "coefficients": ["1" * 5000, "1"], "initial": ["0", "1"]})
+        code, out, err = run(capsys, "term", "--spec", path, "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: coefficients[0]: column 1:") and err.count("\n") == 1
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "term", "--family", "fibonacci2", "--n", "1",

@@ -1,0 +1,47 @@
+"""Byte-for-byte regression of canonical CLI output.
+
+``tests/golden/cli_canonical.txt`` holds the stdout of the commands below,
+in order, with ``elapsed_ns`` removed from every json-lines record (the
+remaining keys re-serialized sorted, as the CLI prints them).  Any change to
+a canonical string, a label, a record field or the row order shows here.
+"""
+
+import json
+from pathlib import Path
+
+from recpoly.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_canonical.txt"
+
+COMMANDS = [
+    "table --family generalized-lucas --order 3 --n-max 40",
+    "table --family dickson-d --n-max 60",
+    "term --family fibonacci2 --n 120 --engine iterate",
+    "term --family fibonacci2 --n 120 --engine multinomial",
+    "term --family fibonacci2 --n 120 --engine determinant",
+    "term --family fibonacci2 --n 120 --engine companion",
+    "identity --ids all --include-paper-typos",
+    "identity --ids all --include-paper-typos --format json-lines",
+    "table --family fibonacci2 --n-max 30 --format json-lines",
+    "term --family dickson-e --n 40 --format json-lines",
+]
+
+
+def canonical_output(capsys) -> str:
+    lines = []
+    for command in COMMANDS:
+        argv = command.split()
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, command
+        for line in out.splitlines():
+            if "json-lines" in argv:
+                record = json.loads(line)
+                del record["elapsed_ns"]
+                line = json.dumps(record, sort_keys=True)
+            lines.append(line + "\n")
+    return "".join(lines)
+
+
+def test_cli_output_matches_golden_file(capsys):
+    assert canonical_output(capsys).encode() == GOLDEN.read_bytes()

@@ -84,6 +84,11 @@ class TestRejectsWithColumn:
     def test_empty_input(self):
         assert self.err("").column == 1
 
+    def test_integer_literal_past_the_conversion_limit(self):
+        e = self.err("x^" + "9" * 5000)
+        assert e.column == 3 and "5000 digits" in str(e)
+        assert self.err("x + " + "7" * 5000).column == 5
+
     def test_illegal_character(self):
         assert self.err("x / 2").column == 3
         assert self.err("  @").column == 3

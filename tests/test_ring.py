@@ -1,4 +1,6 @@
 import itertools
+import math
+import struct
 import tracemalloc
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import VARS, integer_points, multipolys, term_maps
 from recpoly import MultiPoly, QuadExtElem, StructuralError, VariableMismatchError, parse_poly
-from recpoly.ring import DEGREE_GUARD
+from recpoly.ring import DEGREE_GUARD, _power
 
 
 def table_eval(terms, variables, point):
@@ -236,6 +238,55 @@ class TestQuadExt:
         a = QuadExtElem(x + 1, y, delta)
         for m, n in [(0, 3), (2, 2), (1, 4), (3, 2)]:
             assert a ** (m + n) == (a**m) * (a**n)
+
+
+def reference_complex_power(val, e):
+    """The binary-powering loop eval_complex used before one helper served
+    every ring: the result starts from the lowest set bit's power."""
+    result = None
+    while True:
+        if e & 1:
+            result = val if result is None else result * val
+        e >>= 1
+        if not e:
+            return result
+        val = val * val
+
+
+class TestPower:
+    def test_multipoly_matches_repeated_products(self):
+        xy = ("x", "y")
+        base = MultiPoly.var("x", xy) - 2 * MultiPoly.var("y", xy) + 3
+        expected = MultiPoly.const(xy, 1)
+        for e in range(65):
+            assert base**e == expected, e
+            expected = expected * base
+
+    def test_quadext_matches_repeated_products(self):
+        x = MultiPoly.var("x", X)
+        base = QuadExtElem(x - 1, MultiPoly.const(X, 2), x * x + 4)
+        expected = QuadExtElem.one(base.delta)
+        for e in range(65):
+            assert base**e == expected, e
+            expected = expected * base
+
+    def test_complex_is_bit_identical_to_the_reference_loop(self):
+        inf, nan = math.inf, math.nan
+        values = [complex(inf, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+                  complex(-0.0, 0.0), complex(inf, inf), complex(nan, 1.0),
+                  complex(1e200, 1e-200), 0.5 - 0.75j, -1j, 1.0000001 + 0j, -3 + 2j]
+        bits = lambda z: struct.pack("<dd", z.real, z.imag)
+        for val in values:
+            for e in range(1, 65):
+                assert bits(_power(val, e)) == bits(reference_complex_power(val, e)), (val, e)
+        # A unit seed would differ: (1+0j)*inf gives a nan imaginary part.
+        assert bits(_power(complex(inf, 0.0), 1)) == bits(complex(inf, 0.0))
+        assert bits(_power(complex(-0.0, -0.0), 1)) == bits(complex(-0.0, -0.0))
+
+    def test_no_square_after_the_last_bit(self):
+        # x^(2^19) squares up to 2^19 only; one more square would pass the guard.
+        x = MultiPoly.var("x", X)
+        assert (x ** (1 << 19)).total_degree() == 1 << 19
 
 
 class TestDegreeGuard:
