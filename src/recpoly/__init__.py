@@ -44,7 +44,6 @@ from .families import (
     dickson_family,
     generic_family,
     tridiag_closed_form_check,
-    tridiag_det_symbolic,
 )
 from .parse import ParseError, ast_to_poly, parse_expr, parse_poly
 from .recurrence import (
@@ -54,7 +53,7 @@ from .recurrence import (
     decompose_check,
     iterate_terms,
 )
-from .ring import MultiPoly, QuadExtElem
+from .ring import MultiPoly, QuadExtElem, term_budget
 from .specfile import SpecFormatError, family_spec, load_spec, spec_from_mapping
 
 __version__ = "0.1.0"
@@ -103,7 +102,7 @@ __all__ = [
     "parse_expr",
     "parse_poly",
     "spec_from_mapping",
+    "term_budget",
     "tridiag_closed_form_check",
-    "tridiag_det_symbolic",
     "weighted_compositions",
 ]

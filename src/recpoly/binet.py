@@ -13,8 +13,8 @@ formulas they implement; an enumeration budget keeps that desk-scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, RootFindingError, StructuralError
@@ -79,16 +79,35 @@ def _polish(monic: Sequence[complex], root: complex, mult: int) -> complex:
     return root
 
 
+def _clusters(roots: Sequence[complex]) -> list[list[complex]]:
+    """Group the estimates of each multiple root, largest groups first (any
+    part of an m-fold group looks like a smaller group spread too wide).
+
+    Durand-Kerner places an m-fold root's estimates about eps^(1/m) apart, so
+    m of them merge within relative distance CLUSTER_RADIUS * eps^(1/m - 1/2).
+    """
+    left = list(range(len(roots)))
+    groups = []
+    for m in range(len(roots), 1, -1):
+        radius = CLUSTER_RADIUS * sys.float_info.epsilon ** (1 / m - 0.5)
+        for i in list(left):
+            near = [j for j in left if abs(roots[j] - roots[i])
+                    <= radius * max(1.0, abs(roots[i]), abs(roots[j]))]
+            if i in left and len(near) == m:
+                groups.append([roots[j] for j in near])
+                left = [j for j in left if j not in near]
+    return groups + [[roots[i]] for i in left]
+
+
 def char_roots(coeff_values: Sequence[complex],
                max_iterations: int = MAX_ITERATIONS,
-               residual_tol: float = RESIDUAL_TOL,
-               cluster_radius: float = CLUSTER_RADIUS) -> RootProfile:
+               residual_tol: float = RESIDUAL_TOL) -> RootProfile:
     """All k roots of X^k - c_1 X^{k-1} - ... - c_k, clustered by multiplicity.
 
-    Durand-Kerner simultaneous iteration; roots within relative distance
-    ``cluster_radius`` of each other are merged into one cluster represented
-    by its centroid, with summed multiplicity.  Durand-Kerner locates an
-    m-fold root only to about the m-th root of the working precision, so
+    Durand-Kerner simultaneous iteration; estimates that :func:`_clusters`
+    groups are merged into one cluster represented by its centroid, with
+    summed multiplicity.  Durand-Kerner locates an m-fold root only to
+    about the m-th root of the working precision, so
     each centroid of multiplicity m >= 2 is polished by a few Newton steps
     on the (m-1)-th derivative, where the root is simple.  Raises
     RootFindingError when a reported root's residual exceeds the tolerance
@@ -122,26 +141,9 @@ def char_roots(coeff_values: Sequence[complex],
             if max_step < 1e-14 * scale:
                 break
 
-    # Transitive clustering (union-find) on relative distance.
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in combinations(range(k), 2):
-        lim = cluster_radius * max(1.0, abs(roots[i]), abs(roots[j]))
-        if abs(roots[i] - roots[j]) <= lim:
-            parent[find(i)] = find(j)
-
-    clusters: dict[int, list[complex]] = {}
-    for i in range(k):
-        clusters.setdefault(find(i), []).append(roots[i])
     centroids = []
     mults = []
-    for members in clusters.values():
+    for members in _clusters(roots):
         centroids.append(_polish(monic, sum(members) / len(members), len(members)))
         mults.append(len(members))
     order = sorted(range(len(centroids)),

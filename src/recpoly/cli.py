@@ -24,6 +24,7 @@ from .errors import BudgetExceededError, RootFindingError, StructuralError
 from .families import IDENTITY_IDS, TYPO_IDS, Order2Family, check_identity
 from .parse import ParseError, parse_poly
 from .recurrence import RecurrenceSpec
+from .ring import int_text, term_budget
 from .specfile import FAMILY_TAGS, SpecFormatError, family_spec, load_spec
 
 EXIT_OK = 0
@@ -92,7 +93,7 @@ def _parse_point(text: str, variables: Sequence[str]) -> dict[str, int]:
 def _cmd_term(args) -> int:
     spec = _resolve_spec(args)
     start = time.perf_counter_ns()
-    value = compute_term(spec, args.n, args.engine, args.compose, args.budget)
+    value = compute_term(spec, args.n, args.engine, args.compose)
     elapsed = time.perf_counter_ns() - start
     text = value.canonical()
     _emit(args, text, {
@@ -104,7 +105,7 @@ def _cmd_term(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = _resolve_spec(args)
-    values = table_terms(spec, args.n_max, args.engine, args.compose, args.budget)
+    values = table_terms(spec, args.n_max, args.engine, args.compose)
     # Each row carries the ns spent producing that row alone.
     rows = []
     start = time.perf_counter_ns()
@@ -127,7 +128,7 @@ def _cmd_det(args) -> int:
     if args.point:
         point = _parse_point(args.point, spec.variables)
         value = hessenberg_det_numeric_oracle(spec.coeffs, args.size, point)
-        text = str(value)
+        text = int_text(value)
         engine = "bareiss"
     else:
         text = hessenberg_det_symbolic(spec.coeffs, args.size).canonical()
@@ -195,15 +196,16 @@ def _cmd_identity(args) -> int:
             ok = report.passed
             label = "PASS" if ok else "FAIL"
         all_ok &= ok
-        _emit(args, f"{identity_id}  {report.index_range}  {label}", {
+        line = f"{identity_id}  {report.index_range}  {label}"
+        record = {
             "kind": "identity", "id": identity_id, "value_canonical": label,
             "engine": "catalog", "elapsed_ns": elapsed,
-        })
-        if report.witness is not None and not expect_fail and args.format != "json-lines":
+        }
+        if report.witness is not None and not expect_fail:
             params, lhs, rhs = report.witness
-            print(f"    witness: {params}")
-            print(f"    lhs: {lhs}")
-            print(f"    rhs: {rhs}")
+            line += f"\n    witness: {params}\n    lhs: {lhs}\n    rhs: {rhs}"
+            record["witness"] = {"params": params, "lhs": lhs, "rhs": rhs}
+        _emit(args, line, record)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
@@ -222,7 +224,7 @@ def _cmd_bench(args) -> int:
         value = None
         for _ in range(max(1, args.reps)):
             start = time.perf_counter_ns()
-            value = compute_term(spec, args.n, engine, args.compose, args.budget)
+            value = compute_term(spec, args.n, engine, args.compose)
             samples.append(time.perf_counter_ns() - start)
         results[engine] = value
         timings[engine] = int(statistics.median(samples))
@@ -321,7 +323,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        with term_budget(getattr(args, "budget", None)):
+            return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -21,7 +21,7 @@ import math
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import StructuralError
-from .recurrence import RecurrenceSpec, _charge, iterate_terms
+from .recurrence import RecurrenceSpec, iterate_terms
 from .ring import MultiPoly
 
 
@@ -60,13 +60,11 @@ def multinomial(counts: Sequence[int]) -> int:
 
 
 def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
-                     power_cache: Optional[dict] = None,
-                     term_budget: Optional[int] = None) -> MultiPoly:
+                     power_cache: Optional[dict] = None) -> MultiPoly:
     """P^(k-1)_{n+k-1} as the multinomial sum over weighted compositions.
 
     ``power_cache`` may be shared across calls with the same coefficient
-    list to reuse coefficient powers.  ``term_budget`` caps the term count
-    of every power, product and partial sum.
+    list to reuse coefficient powers.
     """
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
@@ -79,7 +77,7 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
         # power_cache[i][e] is coeffs[i]**e, grown one exponent at a time.
         powers = power_cache.setdefault(i, [MultiPoly.const(variables, 1)])
         while len(powers) <= e:
-            powers.append(_charge(powers[-1] * coeffs[i], term_budget))
+            powers.append(powers[-1] * coeffs[i])
         return powers[e]
 
     total = MultiPoly.zero(variables)
@@ -88,11 +86,7 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
         for i, c in enumerate(counts):
             if c:
                 term = term * power(i, c)
-                if term_budget is not None:
-                    _charge(term, term_budget)
         total = total + term
-        if term_budget is not None:
-            _charge(total, term_budget)
     return total
 
 
@@ -120,8 +114,7 @@ def hessenberg_matrix(coeffs: Sequence[MultiPoly], n: int) -> list[list[MultiPol
     return rows
 
 
-def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]],
-                   term_budget: Optional[int] = None) -> MultiPoly:
+def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Symbolic determinant of an upper Hessenberg matrix.
 
     Laplace expansion along the last column of each leading principal minor:
@@ -129,7 +122,6 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]],
     with d_0 = 1 (empty determinant).  The sum for column m stops at its
     topmost nonzero entry, so a banded matrix costs ring products in
     proportion to its band, not to m; zeros inside the band are allowed.
-    ``term_budget`` caps the term count of every product and partial sum.
     """
     n = len(matrix)
     if n == 0:
@@ -148,30 +140,20 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]],
                 if (m - r) % 2:
                     term = -term
                 acc = acc + term
-                if term_budget is not None:
-                    _charge(term, term_budget)
-                    _charge(acc, term_budget)
             if r > top:
                 subdiag_prod = subdiag_prod * matrix[r - 1][r - 2]
-                if term_budget is not None:
-                    _charge(subdiag_prod, term_budget)
         minors.append(acc)
     return minors[n]
 
 
-def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int,
-                           term_budget: Optional[int] = None) -> MultiPoly:
-    """P^(k-1)_{n+k-1} as the n x n symbolic Hessenberg determinant; n = 0 gives 1.
-
-    ``term_budget`` caps the term count of every intermediate, as in
-    :func:`hessenberg_det`.
-    """
+def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int) -> MultiPoly:
+    """P^(k-1)_{n+k-1} as the n x n symbolic Hessenberg determinant; n = 0 gives 1."""
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     variables = coeffs[0].variables
     if n == 0:
         return MultiPoly.const(variables, 1)
-    return hessenberg_det(hessenberg_matrix(coeffs, n), term_budget)
+    return hessenberg_det(hessenberg_matrix(coeffs, n))
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .closedform import hessenberg_det_symbolic, multinomial_term
 from .errors import StructuralError
@@ -38,39 +38,39 @@ def _closed_form(name: str, spec: RecurrenceSpec, n: int, compose: bool,
     return b(n - k + 1)
 
 
-def _multinomial(spec: RecurrenceSpec, n: int, budget: Optional[int], compose: bool) -> MultiPoly:
+def _multinomial(spec: RecurrenceSpec, n: int, compose: bool) -> MultiPoly:
     cache: dict = {}  # coefficient powers, shared by the b(m) of one term
     return _closed_form("multinomial", spec, n, compose, lambda m: multinomial_term(
-        spec.coeffs, m, power_cache=cache, term_budget=budget))
+        spec.coeffs, m, power_cache=cache))
 
 
-def _determinant(spec: RecurrenceSpec, n: int, budget: Optional[int], compose: bool) -> MultiPoly:
-    return _closed_form("determinant", spec, n, compose, lambda m: hessenberg_det_symbolic(
-        spec.coeffs, m, term_budget=budget))
+def _determinant(spec: RecurrenceSpec, n: int, compose: bool) -> MultiPoly:
+    return _closed_form("determinant", spec, n, compose,
+                        lambda m: hessenberg_det_symbolic(spec.coeffs, m))
 
 
-# Each entry is fn(spec, n, budget, compose).  It calls its engine through
+# Each entry is fn(spec, n, compose).  It calls its engine through
 # this module's globals at call time, so a wrapper installed by rebinding a
 # module attribute sees every call.  The CLI lists the engines in key order.
 ENGINES = {
-    "iterate": lambda spec, n, budget, compose: iterate_terms(spec, n, term_budget=budget)[n],
+    "iterate": lambda spec, n, compose: iterate_terms(spec, n)[n],
     "multinomial": _multinomial,
     "determinant": _determinant,
-    "companion": lambda spec, n, budget, compose: companion_power_term(spec, n, term_budget=budget),
+    "companion": lambda spec, n, compose: companion_power_term(spec, n),
 }
 
 
 def compute_term(spec: RecurrenceSpec, n: int, engine: str,
-                 compose: bool = False, budget: Optional[int] = None) -> MultiPoly:
+                 compose: bool = False) -> MultiPoly:
     """P_n by the named engine (consistent indexing across engines)."""
     if engine not in ENGINES:
         raise StructuralError(f"unknown engine {engine!r}")
-    return ENGINES[engine](spec, n, budget, compose)
+    return ENGINES[engine](spec, n, compose)
 
 
 def table_terms(spec: RecurrenceSpec, n_max: int, engine: str,
-                compose: bool = False, budget: Optional[int] = None) -> Iterator[MultiPoly]:
+                compose: bool = False) -> Iterator[MultiPoly]:
     """P_0, ..., P_{n_max} by the named engine; iteration yields each step's term."""
     if engine == "iterate":
-        return iter_terms(spec, n_max, term_budget=budget)
-    return (compute_term(spec, n, engine, compose, budget) for n in range(n_max + 1))
+        return iter_terms(spec, n_max)
+    return (compute_term(spec, n, engine, compose) for n in range(n_max + 1))

@@ -10,7 +10,7 @@ class VariableMismatchError(StructuralError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A term-count or enumeration budget was exceeded."""
+    """A term-count, enumeration or print-length budget was exceeded."""
 
 
 class RootFindingError(RuntimeError):

@@ -28,6 +28,7 @@ from .binet import binet_multiple, char_roots
 from .closedform import (
     generalized_lucas,
     generalized_lucas_closed_form,
+    hessenberg_det,
     hessenberg_det_symbolic,
 )
 from .errors import StructuralError
@@ -161,27 +162,20 @@ def dickson_E(n: int) -> MultiPoly:
     return value
 
 
-def tridiag_det_symbolic(diag: MultiPoly, sup: MultiPoly, sub: MultiPoly, n: int) -> MultiPoly:
-    """Determinant of the n x n tridiagonal matrix with constant bands,
-    by cofactor expansion on the literal entries."""
-    if n < 0:
-        raise StructuralError(f"n must be >= 0, got {n}")
-    prev2 = MultiPoly.const(diag.variables, 1)
-    if n == 0:
-        return prev2
-    prev1 = diag
-    for _ in range(2, n + 1):
-        prev1, prev2 = diag * prev1 - sup * sub * prev2, prev1
-    return prev1
+def _tridiag(diag, sub, sup, n: int) -> list[list]:
+    """The literal n x n tridiagonal matrix with constant bands (polynomial
+    or complex entries; off the bands, the zero of the diagonal's type)."""
+    bands, zero = {-1: sub, 0: diag, 1: sup}, diag * 0
+    return [[bands.get(j - i, zero) for j in range(n)] for i in range(n)]
 
 
 def dickson_E_det(n: int) -> MultiPoly:
     """E_n as the n x n tridiagonal determinant (diagonal x, superdiagonal a,
-    subdiagonal +1)."""
+    subdiagonal +1), by cofactor expansion of the literal matrix."""
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
     _, x, a = _dickson_vars()
-    return tridiag_det_symbolic(x, a, MultiPoly.const(x.variables, 1), n)
+    return hessenberg_det(_tridiag(x, MultiPoly.const(x.variables, 1), a, n))
 
 
 def dickson_E_det_signflip_check(n: int) -> bool:
@@ -189,7 +183,7 @@ def dickson_E_det_signflip_check(n: int) -> bool:
     signs leaves the tridiagonal determinant unchanged."""
     _, x, a = _dickson_vars()
     one = MultiPoly.const(x.variables, 1)
-    return tridiag_det_symbolic(x, a, one, n) == tridiag_det_symbolic(x, -a, -one, n)
+    return hessenberg_det(_tridiag(x, one, a, n)) == hessenberg_det(_tridiag(x, -one, -a, n))
 
 
 def lu_det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -235,13 +229,7 @@ def tridiag_closed_form_check(b: complex, a_sub: complex, c_sup: complex, n: int
     else:
         s = cmath.sqrt(disc)
         closed = ((b + s) ** (n + 1) - (b - s) ** (n + 1)) / (2 ** (n + 1) * s)
-    matrix = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        matrix[i][i] = b
-        if i + 1 < n:
-            matrix[i + 1][i] = a_sub
-            matrix[i][i + 1] = c_sup
-    lu = lu_det(matrix)
+    lu = lu_det(_tridiag(b, a_sub, c_sup, n))
     return abs(closed - lu) <= rel_tol * max(1.0, abs(lu))
 
 

@@ -10,9 +10,8 @@ decomposition of an arbitrary solution over those basis sequences, and
 Fiduccia's method (SIAM J. Comput. 14(1), 1985), which reduces X^n modulo
 the characteristic polynomial by binary powering and reads P_n off the
 initial window.  Symbolic terms can grow quickly for multivariate
-coefficients, so every engine accepts an optional term-count budget
-(maximum term count of any produced polynomial) and fails cleanly when it
-is exceeded.
+coefficients; run an engine inside :func:`recpoly.ring.term_budget` to make
+it fail cleanly once any sum or product it builds exceeds a term count.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, StructuralError
+from .errors import StructuralError
 from .ring import MultiPoly
 
 
@@ -77,16 +76,7 @@ class RecurrenceSpec:
         )
 
 
-def _charge(poly: MultiPoly, budget: Optional[int]) -> MultiPoly:
-    if budget is not None and poly.term_count() > budget:
-        raise BudgetExceededError(
-            f"term count {poly.term_count()} exceeds budget {budget}"
-        )
-    return poly
-
-
-def iter_terms(spec: RecurrenceSpec, n_max: int,
-               term_budget: Optional[int] = None) -> Iterator[MultiPoly]:
+def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
     """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per item."""
     if n_max < 0:
         raise StructuralError(f"n_max must be >= 0, got {n_max}")
@@ -96,20 +86,18 @@ def iter_terms(spec: RecurrenceSpec, n_max: int,
         nxt = MultiPoly.zero(spec.variables)
         for i, c in enumerate(spec.coeffs, start=1):
             nxt = nxt + c * terms[-i]
-        terms.append(_charge(nxt, term_budget))
+        terms.append(nxt)
         yield terms[-1]
 
 
-def iterate_terms(spec: RecurrenceSpec, n_max: int,
-                  term_budget: Optional[int] = None) -> list[MultiPoly]:
+def iterate_terms(spec: RecurrenceSpec, n_max: int) -> list[MultiPoly]:
     """Return [P_0, ..., P_{n_max}] by direct iteration of the recurrence."""
-    return list(iter_terms(spec, n_max, term_budget))
+    return list(iter_terms(spec, n_max))
 
 
-def basis_sequence(spec: RecurrenceSpec, j: int, n_max: int,
-                   term_budget: Optional[int] = None) -> list[MultiPoly]:
+def basis_sequence(spec: RecurrenceSpec, j: int, n_max: int) -> list[MultiPoly]:
     """The solution P^(j) with initial terms delta_{ij}, up to index n_max."""
-    return iterate_terms(spec.delta_spec(j), n_max, term_budget)
+    return iterate_terms(spec.delta_spec(j), n_max)
 
 
 def decompose_check(spec: RecurrenceSpec, n_max: int,
@@ -133,8 +121,7 @@ def decompose_check(spec: RecurrenceSpec, n_max: int,
     return True, None
 
 
-def _reduce(poly: list[MultiPoly], spec: RecurrenceSpec,
-            budget: Optional[int]) -> list[MultiPoly]:
+def _reduce(poly: list[MultiPoly], spec: RecurrenceSpec) -> list[MultiPoly]:
     """Reduce a coefficient list (constant term first, overwritten) modulo
     the characteristic polynomial, using X^k = sum_i c_i X^(k-i)."""
     k = spec.order
@@ -145,11 +132,10 @@ def _reduce(poly: list[MultiPoly], spec: RecurrenceSpec,
         for i, c in enumerate(spec.coeffs, start=1):
             if not c.is_zero():
                 poly[d - i] = poly[d - i] + top * c
-    return [_charge(r, budget) for r in poly[:k]]
+    return poly[:k]
 
 
-def companion_power_term(spec: RecurrenceSpec, n: int,
-                         term_budget: Optional[int] = None) -> MultiPoly:
+def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:
     """P_n by Fiduccia's method: R(X) = X^n mod chi(X), then P_n = sum_j r_j P_j.
 
     R is built by left-to-right binary powering: each bit squares R and
@@ -163,8 +149,7 @@ def companion_power_term(spec: RecurrenceSpec, n: int,
         return spec.initial[n]
     zero = MultiPoly.zero(spec.variables)
     # The leading bit of n gives R = X mod chi (a reduction only when k = 1).
-    r = _reduce([zero, MultiPoly.const(spec.variables, 1)] + [zero] * (k - 1),
-                spec, term_budget)
+    r = _reduce([zero, MultiPoly.const(spec.variables, 1)] + [zero] * (k - 1), spec)
     for bit in bin(n)[3:]:
         # R^2 from the products r_i r_j with i <= j: cross terms count twice.
         nonzero = [i for i in range(k) if not r[i].is_zero()]
@@ -177,9 +162,9 @@ def companion_power_term(spec: RecurrenceSpec, n: int,
             sq[2 * i] = sq[2 * i] + r[i] * r[i]
         if bit == "1":
             sq = [zero] + sq
-        r = _reduce(sq, spec, term_budget)
+        r = _reduce(sq, spec)
     acc = zero
     for rj, pj in zip(r, spec.initial):
         if not rj.is_zero() and not pj.is_zero():
             acc = acc + rj * pj
-    return _charge(acc, term_budget)
+    return acc

@@ -2,9 +2,11 @@
 
 A :class:`MultiPoly` is an ordered variable list plus a map from monomials
 to nonzero integer coefficients (canonical sparse form, so equality of term
-maps is semantic equality).  Values are immutable after construction and
-every operation is a pure function, which makes them safe to share across
-threads.
+maps is semantic equality).  Values are immutable after construction, so
+they are safe to share across threads.  Operations are not quite pure:
+inside a :func:`term_budget` block, a sum or polynomial product with more
+terms than the limit raises :class:`BudgetExceededError`.  Only these two
+operations grow a term map, and every engine builds its terms from them.
 
 Each monomial key is its exponent vector packed into one int (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -31,12 +33,30 @@ relation (sqrt(delta))^2 = delta.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import math
+import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import StructuralError, VariableMismatchError
+from .errors import BudgetExceededError, StructuralError, VariableMismatchError
 
 # Guard against pathological exponent growth; nothing desk-scale gets close.
 DEGREE_GUARD = 10**6
+
+_TERM_BUDGET: ContextVar[Optional[int]] = ContextVar("term_budget", default=None)
+
+
+@contextmanager
+def term_budget(limit: Optional[int]) -> Iterator[None]:
+    """Within the block, a sum or product of more than ``limit`` terms raises
+    :class:`BudgetExceededError`; ``None`` lifts the cap."""
+    token = _TERM_BUDGET.set(limit)
+    try:
+        yield
+    finally:
+        _TERM_BUDGET.reset(token)
+
 
 # A field holds the sum of two exponents at most DEGREE_GUARD without a carry.
 _FIELD_BITS = (2 * DEGREE_GUARD).bit_length()
@@ -147,7 +167,7 @@ class MultiPoly:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return _raw(self.variables, terms)
+        return _charged(self.variables, terms)
 
     __radd__ = __add__
 
@@ -187,7 +207,7 @@ class MultiPoly:
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-        return _raw(self.variables, terms)
+        return _charged(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -263,7 +283,8 @@ class MultiPoly:
         its coefficient and a *leading negative* term always prints an
         explicit coefficient (``-1*x^2`` rather than ``-x^2``) so the string
         re-parses under the expression grammar, where unary minus binds
-        tighter than ``^``.
+        tighter than ``^``.  A coefficient too long to print raises
+        :class:`BudgetExceededError` (see :func:`int_text`).
         """
         if not self.terms:
             return "0"
@@ -280,7 +301,7 @@ class MultiPoly:
             mag = abs(coeff)
             leading_negative = idx == 0 and coeff < 0
             if mag != 1 or not factors or leading_negative:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([int_text(mag)] + factors)
             else:
                 body = "*".join(factors)
             if idx == 0:
@@ -294,6 +315,16 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.canonical()!r}, vars={list(self.variables)})"
+
+
+def int_text(value: int) -> str:
+    """str(value); past Python's int-to-str digit limit, BudgetExceededError."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = int(value.bit_length() * math.log10(2)) + 1
+        raise BudgetExceededError(f"a coefficient of about {digits} digits exceeds the "
+                                  f"{sys.get_int_max_str_digits()}-digit print limit") from None
 
 
 def _power(base, e: int):
@@ -319,6 +350,13 @@ def _raw(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
     object.__setattr__(poly, "variables", variables)
     object.__setattr__(poly, "terms", terms)
     return poly
+
+
+def _charged(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
+    limit = _TERM_BUDGET.get()
+    if limit is not None and len(terms) > limit:
+        raise BudgetExceededError(f"term count {len(terms)} exceeds budget {limit}")
+    return _raw(variables, terms)
 
 
 class QuadExtElem:

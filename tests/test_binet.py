@@ -60,6 +60,19 @@ class TestCharRoots:
                 assert sorted(profile.mults) == [1, 2]
                 assert abs(binet_multiple(profile, n) - h[n + 2]) <= 1e-8 * h[n + 2], (a, b)
 
+    def test_triple_roots_cluster(self):
+        # (X - a)^3: the three estimates lie about eps^(1/3) apart, too far
+        # for the pair radius; clustered and polished, h_60 is exact to 1e-8.
+        n = 60
+        for a in range(2, 10):
+            coeffs = [3 * a, -3 * a * a, a**3]
+            h = [0, 0, 1]  # delta initials; h_n is term n + 2
+            while len(h) < n + 3:
+                h.append(coeffs[0] * h[-1] + coeffs[1] * h[-2] + coeffs[2] * h[-3])
+            profile = char_roots(coeffs)
+            assert profile.mults == (3,), a
+            assert abs(binet_multiple(profile, n) - h[n + 2]) <= 1e-8 * h[n + 2], a
+
     def test_complex_pair(self):
         # X^2 + 1: roots +-i.
         profile = char_roots([0, -1])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from recpoly import (
     load_spec,
     spec_from_mapping,
 )
+from recpoly import families
 from recpoly.cli import main
 from recpoly.engines import ENGINES, compute_term
 
@@ -37,6 +39,9 @@ CUSTOM_DOC = {
     "coefficients": ["x", "y"],
     "initial": ["0", "1"],
 }
+
+# Integer Fibonacci numbers: F_n has more than 4300 digits from n = 20,580 on.
+FIB_INT_DOC = {"variables": ["x"], "order": 2, "coefficients": ["1", "1"], "initial": ["0", "1"]}
 
 
 class TestSpecDocuments:
@@ -172,6 +177,25 @@ class TestTermCommand:
                            "--engine", engine, "--budget", "3")
         assert code == 0 and out == "x^5 + 4*x^3*y + 3*x*y^2\n"
 
+    def test_budget_applies_to_spec_parsing(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"variables": ["x"], "order": 2,
+                                     "coefficients": ["(x+1)^100000", "1"], "initial": ["0", "1"]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "term", "--spec", path, "--n", "3", "--budget", "10")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert err == "error: term count 17 exceeds budget 10\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["term", "--n", "25000", "--engine", "companion"],
+        ["table", "--n-max", "25000", "--format", "json-lines"],
+    ])
+    def test_too_long_to_print_exit_code(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--spec", write_spec(tmp_path, FIB_INT_DOC))
+        assert code == 3
+        assert err.startswith("error: a coefficient of about ") and err.count("\n") == 1
+        assert "4300-digit print limit" in err
+
     def test_deeply_nested_coefficient_exit_code(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"variables": ["x"], "order": 1,
                                      "coefficients": ["(" * 3000 + "x" + ")" * 3000],
@@ -279,6 +303,21 @@ class TestDetCommand:
         assert code == 2 and "integer" in err
 
 
+    def test_budget(self, capsys):
+        code, out, err = run(capsys, "det", "--family", "fibonacci2", "--size", "30",
+                             "--budget", "2")
+        assert code == 3 and out == ""
+        assert err == "error: term count 3 exceeds budget 2\n"
+
+    def test_numeric_value_too_long_to_print(self, capsys):
+        # The 2 x 2 determinant is x^2 + y: about 8000 digits at this point.
+        code, out, err = run(capsys, "det", "--family", "fibonacci2", "--size", "2",
+                             "--point", f"x={10**3999},y=1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: a coefficient of about 7999 digits")
+        assert err.count("\n") == 1
+
+
 class TestRootsCommand:
     def test_golden_ratio(self, capsys):
         code, out, _ = run(capsys, "roots", "--family", "fibonacci2",
@@ -346,6 +385,23 @@ class TestIdentityCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["id"] for r in records] == ["thm-4.7", "thm-4.11"]
         assert all(r["value_canonical"] == "PASS" for r in records)
+        assert all("witness" not in r for r in records)
+
+    def test_failure_carries_its_witness_in_every_format(self, capsys, monkeypatch):
+        def broken(fam, n_max, p_max, m_max, seed):
+            yield {"n": 3, "point": {"x": 1}}, MultiPoly.var("x", ("x",)), "x + 1"
+
+        monkeypatch.setitem(families._CATALOG, "thm-4.5", broken)
+        code, out, _ = run(capsys, "identity", "--ids", "thm-4.5")
+        assert code == 1
+        assert out.splitlines()[1:] == ["    witness: {'n': 3, 'point': {'x': 1}}",
+                                        "    lhs: x", "    rhs: x + 1"]
+        code, out, _ = run(capsys, "identity", "--ids", "thm-4.5", "--format", "json-lines")
+        assert code == 1
+        [record] = [json.loads(line) for line in out.splitlines()]
+        assert record["value_canonical"] == "FAIL"
+        assert record["witness"] == {"params": {"n": 3, "point": {"x": 1}},
+                                     "lhs": "x", "rhs": "x + 1"}
 
 
 class TestBenchCommand:

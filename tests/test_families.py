@@ -19,8 +19,8 @@ from recpoly import (
     dickson_family,
     generic_family,
     tridiag_closed_form_check,
-    tridiag_det_symbolic,
 )
+from recpoly.closedform import hessenberg_det
 from recpoly.families import dickson_E_det_signflip_check, lu_det, lucas_weight
 
 XA = ("x", "a")
@@ -140,10 +140,10 @@ class TestTridiagonalDeterminants:
         b = MultiPoly.var("b", v)
         a = MultiPoly.var("a", v)
         c = MultiPoly.var("c", v)
-        assert tridiag_det_symbolic(b, c, a, 0) == 1
-        assert tridiag_det_symbolic(b, c, a, 1) == b
-        assert tridiag_det_symbolic(b, c, a, 2) == b**2 - c * a
-        assert tridiag_det_symbolic(b, c, a, 3) == b**3 - 2 * b * c * a
+        zero = MultiPoly.zero(v)
+        assert hessenberg_det([[b]]) == b
+        assert hessenberg_det([[b, c], [a, b]]) == b**2 - c * a
+        assert hessenberg_det([[b, c, zero], [a, b, c], [zero, a, b]]) == b**3 - 2 * b * c * a
 
     def test_closed_form_vs_lu(self):
         # Distinct-root band values.

@@ -24,6 +24,11 @@ COMMANDS = [
     "identity --ids all --include-paper-typos --format json-lines",
     "table --family fibonacci2 --n-max 30 --format json-lines",
     "term --family dickson-e --n 40 --format json-lines",
+    "det --family generalized-lucas --order 3 --size 30",
+    "det --family fibonacci2 --size 9 --point x=1,y=1",
+    "roots --family fibonacci2 --point x=1,y=1",
+    "bench --family fibonacci2 --n 40 --engines iterate,companion,multinomial,determinant"
+    " --reps 1 --format json-lines",
 ]
 
 

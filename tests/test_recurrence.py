@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recpoly import (
@@ -13,9 +13,11 @@ from recpoly import (
     companion_power_term,
     decompose_check,
     iterate_terms,
+    term_budget,
 )
 from conftest import VARS, multipolys
 from recpoly.closedform import generalized_lucas_spec
+from recpoly.engines import ENGINES, compute_term
 from recpoly.specfile import family_spec
 from support import random_delta_spec, random_general_spec
 
@@ -29,6 +31,18 @@ def general_specs(draw):
     coeffs = draw(st.lists(small, min_size=k, max_size=k))
     if draw(st.booleans()):
         coeffs[-1] = MultiPoly.zero(variables)
+    initial = draw(st.lists(small, min_size=k, max_size=k))
+    return RecurrenceSpec.make(variables, coeffs, initial)
+
+
+@st.composite
+def growing_specs(draw):
+    """Order 1-3 over 0-2 variables with nonzero coefficients and initials."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    variables = VARS[: draw(st.integers(min_value=0, max_value=2))]
+    small = multipolys(variables, max_terms=2, max_exp=1, coeff_bound=3).filter(
+        lambda p: not p.is_zero())
+    coeffs = draw(st.lists(small, min_size=k, max_size=k))
     initial = draw(st.lists(small, min_size=k, max_size=k))
     return RecurrenceSpec.make(variables, coeffs, initial)
 
@@ -109,9 +123,27 @@ class TestIteration:
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
-            iterate_terms(fib_spec(), 12, term_budget=3)
+            with term_budget(3):
+                iterate_terms(fib_spec(), 12)
         # A loose budget must not interfere.
-        assert len(iterate_terms(fib_spec(), 12, term_budget=1000)) == 13
+        with term_budget(1000):
+            assert len(iterate_terms(fib_spec(), 12)) == 13
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=growing_specs(), n=st.integers(min_value=0, max_value=30),
+           engine=st.sampled_from(sorted(ENGINES)), budget=st.integers(min_value=1, max_value=20))
+    def test_every_engine_obeys_the_budget(self, spec, n, engine, budget):
+        # Under a budget an engine either stops or returns the unbudgeted
+        # value.  The spec is built outside the budget (the CLI charges it
+        # while parsing), so only specs that fit it are drawn.
+        assume(all(p.term_count() <= budget for p in (*spec.coeffs, *spec.initial)))
+        want = iterate_terms(spec, n)[n]
+        try:
+            with term_budget(budget):
+                got = compute_term(spec, n, engine, compose=True)
+        except BudgetExceededError:
+            return
+        assert got == want and got.term_count() <= budget
 
 
 class TestBasisAndDecomposition:
@@ -196,7 +228,8 @@ class TestCompanionEngine:
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
-            companion_power_term(fib_spec(), 40, term_budget=5)
+            with term_budget(5):
+                companion_power_term(fib_spec(), 40)
 
     def test_negative_n_rejected(self):
         with pytest.raises(StructuralError):

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import VARS, integer_points, multipolys, term_maps
-from recpoly import MultiPoly, QuadExtElem, StructuralError, VariableMismatchError, parse_poly
+from recpoly import (
+    BudgetExceededError,
+    MultiPoly,
+    QuadExtElem,
+    StructuralError,
+    VariableMismatchError,
+    parse_poly,
+    term_budget,
+)
 from recpoly.ring import DEGREE_GUARD, _power
 
 
@@ -354,6 +362,25 @@ def ref_eval(terms, variables, point):
 
 
 VARIABLE_LISTS = st.sampled_from([(), ("x",), ("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w")])
+
+
+class TestTermBudget:
+    def test_sums_and_products_over_the_limit_raise(self):
+        v = ("x", "y")
+        x, y = MultiPoly.var("x", v), MultiPoly.var("y", v)
+        with term_budget(2):
+            assert (x + y).term_count() == 2
+            with pytest.raises(BudgetExceededError, match="^term count 3 exceeds budget 2$"):
+                x + y + 1
+            with pytest.raises(BudgetExceededError):
+                (x + 1) * (y + 1)
+            with pytest.raises(BudgetExceededError):
+                (x + 1) ** 2
+            with term_budget(None):
+                assert ((x + 1) * (y + 1)).term_count() == 4
+            # Scalar multiples and negation cannot grow a term map.
+            assert -(x + 1) * 5 == -5 * x - 5
+        assert ((x + 1) * (y + 1)).term_count() == 4
 
 
 class TestPackedKernelAgainstReference:
