@@ -79,24 +79,47 @@ def _polish(monic: Sequence[complex], root: complex, mult: int) -> complex:
     return root
 
 
-def _clusters(roots: Sequence[complex]) -> list[list[complex]]:
-    """Group the estimates of each multiple root, largest groups first (any
-    part of an m-fold group looks like a smaller group spread too wide).
+def _vanishes(poly: Sequence[complex], z: complex, tol: float) -> bool:
+    """|poly(z)| within ``tol`` times the rounding scale sum |a_i| max(1, |z|)^i."""
+    w = max(1.0, abs(z))
+    return abs(_poly_eval(poly, z)) <= tol * _poly_eval([abs(c) for c in poly], w).real
+
+
+def _clusters(monic: Sequence[complex], roots: Sequence[complex],
+              tol: float) -> list[tuple[complex, int]]:
+    """Merge the estimates of each multiple root into (centroid, multiplicity),
+    largest groups first (any part of an m-fold group looks like a smaller
+    group spread too wide).
 
     Durand-Kerner places an m-fold root's estimates about eps^(1/m) apart, so
-    m of them merge within relative distance CLUSTER_RADIUS * eps^(1/m - 1/2).
+    the m estimates nearest one of them are a candidate when they lie within
+    relative distance CLUSTER_RADIUS * eps^(1/m - 1/2).  Distinct close roots
+    can lie that near too, so a candidate's polished centroid is kept only
+    where the polynomial and its first m-1 derivatives vanish; otherwise the
+    estimates stay for smaller groups, and finally as simple roots.
     """
     left = list(range(len(roots)))
     groups = []
     for m in range(len(roots), 1, -1):
         radius = CLUSTER_RADIUS * sys.float_info.epsilon ** (1 / m - 0.5)
         for i in list(left):
-            near = [j for j in left if abs(roots[j] - roots[i])
-                    <= radius * max(1.0, abs(roots[i]), abs(roots[j]))]
-            if i in left and len(near) == m:
-                groups.append([roots[j] for j in near])
+            if i not in left:
+                continue
+            near = sorted(left, key=lambda j: abs(roots[j] - roots[i]))[:m]
+            if len(near) < m or any(
+                    abs(roots[j] - roots[i])
+                    > radius * max(1.0, abs(roots[i]), abs(roots[j])) for j in near):
+                continue
+            centroid = _polish(monic, sum(roots[j] for j in near) / m, m)
+            poly = list(monic)
+            for _ in range(m):
+                if not _vanishes(poly, centroid, tol):
+                    break
+                poly = _derivative(poly)
+            else:
+                groups.append((centroid, m))
                 left = [j for j in left if j not in near]
-    return groups + [[roots[i]] for i in left]
+    return groups + [(roots[i], 1) for i in left]
 
 
 def char_roots(coeff_values: Sequence[complex],
@@ -109,7 +132,8 @@ def char_roots(coeff_values: Sequence[complex],
     summed multiplicity.  Durand-Kerner locates an m-fold root only to
     about the m-th root of the working precision, so
     each centroid of multiplicity m >= 2 is polished by a few Newton steps
-    on the (m-1)-th derivative, where the root is simple.  Raises
+    on the (m-1)-th derivative, where the root is simple, and kept only if
+    the polynomial and its first m-1 derivatives vanish there.  Raises
     RootFindingError when a reported root's residual exceeds the tolerance
     at its scale.
     """
@@ -141,11 +165,9 @@ def char_roots(coeff_values: Sequence[complex],
             if max_step < 1e-14 * scale:
                 break
 
-    centroids = []
-    mults = []
-    for members in _clusters(roots):
-        centroids.append(_polish(monic, sum(members) / len(members), len(members)))
-        mults.append(len(members))
+    clusters = _clusters(monic, roots, residual_tol)
+    centroids = [c for c, _ in clusters]
+    mults = [m for _, m in clusters]
     order = sorted(range(len(centroids)),
                    key=lambda i: (centroids[i].real, centroids[i].imag))
     centroids = [centroids[i] for i in order]

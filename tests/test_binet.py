@@ -73,6 +73,29 @@ class TestCharRoots:
             assert profile.mults == (3,), a
             assert abs(binet_multiple(profile, n) - h[n + 2]) <= 1e-8 * h[n + 2], a
 
+    @pytest.mark.parametrize("roots, rel_tol", [
+        ((3000, 3001, 3002), 1e-6),
+        ((250, 251, 252, 253), 1e-6),
+        (tuple(range(100, 106)), 1e-3),
+    ])
+    def test_close_distinct_roots_stay_simple(self, roots, rel_tol):
+        # Neighbours inside the wide radius of an m-fold group, but the
+        # derivatives do not vanish there: merged into one root of multiplicity
+        # k, h_40 would be off by 1.4e-5, 3.1e-3 and 3.0e-2 relative.
+        spec = spec_from_roots([(r, 1) for r in roots])
+        k, n = len(roots), 40
+        exact = iterate_terms(spec, n + k - 1)[-1].eval_int({})
+        profile = char_roots([c.eval_int({}) for c in spec.coeffs])
+        assert profile.mults == (1,) * k
+        assert abs(binet_multiple(profile, n) - exact) <= rel_tol * exact
+
+    def test_real_root_with_near_conjugate_pair(self):
+        # (X - 10)(X - 10 - 0.001i)(X - 10 + 0.001i) = X^3 - 30X^2 + 300.000001X - 1000.00001
+        profile = char_roots([30, -300.000001, 1000.00001])
+        assert profile.mults == (1, 1, 1)
+        for want in (10, 10 + 0.001j, 10 - 0.001j):
+            assert min(abs(root - want) for root in profile.roots) < 1e-6
+
     def test_complex_pair(self):
         # X^2 + 1: roots +-i.
         profile = char_roots([0, -1])
