@@ -59,15 +59,21 @@ def _derivative(poly: Sequence[complex]) -> list[complex]:
     return [c * (degree - i) for i, c in enumerate(poly[:-1])]
 
 
-def _polish(monic: Sequence[complex], root: complex, mult: int) -> complex:
-    """Refine the centroid of an m-fold cluster by Newton's method on the
-    (m-1)-th derivative, where the root is simple; simple roots are kept."""
-    if mult == 1:
-        return root
-    poly = list(monic)
-    for _ in range(mult - 1):
-        poly = _derivative(poly)
-    slope = _derivative(poly)
+def _multiple_root(monic: Sequence[complex], estimates: Sequence[complex],
+                   tol: float) -> complex | None:
+    """The m-fold root that m estimates approximate, or None if there is none.
+
+    Newton's method on the (m-1)-th derivative, where the root is simple,
+    refines their centroid.  It is kept only where the polynomial and its
+    first m-1 derivatives vanish: each within ``tol`` times its rounding
+    scale, sum |a_i| max(1, |z|)^i.
+    """
+    m = len(estimates)
+    root = sum(estimates) / m
+    derivatives = [list(monic)]
+    for _ in range(m):
+        derivatives.append(_derivative(derivatives[-1]))
+    poly, slope = derivatives[m - 1], derivatives[m]
     for _ in range(POLISH_STEPS):
         denom = _poly_eval(slope, root)
         if denom == 0:
@@ -76,49 +82,35 @@ def _polish(monic: Sequence[complex], root: complex, mult: int) -> complex:
         root -= step
         if abs(step) <= 1e-16 * max(1.0, abs(root)):
             break
-    return root
-
-
-def _vanishes(poly: Sequence[complex], z: complex, tol: float) -> bool:
-    """|poly(z)| within ``tol`` times the rounding scale sum |a_i| max(1, |z|)^i."""
-    w = max(1.0, abs(z))
-    return abs(_poly_eval(poly, z)) <= tol * _poly_eval([abs(c) for c in poly], w).real
+    w = max(1.0, abs(root))
+    if all(abs(_poly_eval(d, root)) <= tol * _poly_eval([abs(c) for c in d], w).real
+           for d in derivatives[:m]):
+        return root
+    return None
 
 
 def _clusters(monic: Sequence[complex], roots: Sequence[complex],
               tol: float) -> list[tuple[complex, int]]:
-    """Merge the estimates of each multiple root into (centroid, multiplicity),
-    largest groups first (any part of an m-fold group looks like a smaller
-    group spread too wide).
+    """(root, multiplicity) pairs, largest groups first (any part of an
+    m-fold group looks like a smaller group spread too wide).
 
     Durand-Kerner places an m-fold root's estimates about eps^(1/m) apart, so
     the m estimates nearest one of them are a candidate when they lie within
-    relative distance CLUSTER_RADIUS * eps^(1/m - 1/2).  Distinct close roots
-    can lie that near too, so a candidate's polished centroid is kept only
-    where the polynomial and its first m-1 derivatives vanish; otherwise the
-    estimates stay for smaller groups, and finally as simple roots.
+    relative distance CLUSTER_RADIUS * eps^(1/m - 1/2) of it.  Distinct close
+    roots can lie that near too: :func:`_multiple_root` decides.
     """
-    left = list(range(len(roots)))
-    groups = []
+    left, groups = list(range(len(roots))), []
     for m in range(len(roots), 1, -1):
         radius = CLUSTER_RADIUS * sys.float_info.epsilon ** (1 / m - 0.5)
-        for i in list(left):
-            if i not in left:
-                continue
+        for i in range(len(roots)):
             near = sorted(left, key=lambda j: abs(roots[j] - roots[i]))[:m]
-            if len(near) < m or any(
-                    abs(roots[j] - roots[i])
-                    > radius * max(1.0, abs(roots[i]), abs(roots[j])) for j in near):
-                continue
-            centroid = _polish(monic, sum(roots[j] for j in near) / m, m)
-            poly = list(monic)
-            for _ in range(m):
-                if not _vanishes(poly, centroid, tol):
-                    break
-                poly = _derivative(poly)
-            else:
-                groups.append((centroid, m))
-                left = [j for j in left if j not in near]
+            if i in left and len(near) == m and all(
+                    abs(roots[j] - roots[i]) <= radius * max(1.0, abs(roots[i]), abs(roots[j]))
+                    for j in near):
+                root = _multiple_root(monic, [roots[j] for j in near], tol)
+                if root is not None:
+                    groups.append((root, m))
+                    left = [j for j in left if j not in near]
     return groups + [(roots[i], 1) for i in left]
 
 
@@ -127,13 +119,11 @@ def char_roots(coeff_values: Sequence[complex],
                residual_tol: float = RESIDUAL_TOL) -> RootProfile:
     """All k roots of X^k - c_1 X^{k-1} - ... - c_k, clustered by multiplicity.
 
-    Durand-Kerner simultaneous iteration; estimates that :func:`_clusters`
-    groups are merged into one cluster represented by its centroid, with
-    summed multiplicity.  Durand-Kerner locates an m-fold root only to
-    about the m-th root of the working precision, so
-    each centroid of multiplicity m >= 2 is polished by a few Newton steps
-    on the (m-1)-th derivative, where the root is simple, and kept only if
-    the polynomial and its first m-1 derivatives vanish there.  Raises
+    Durand-Kerner simultaneous iteration; :func:`_clusters` merges the
+    estimates of each multiple root into one, with summed multiplicity.
+    Durand-Kerner locates an m-fold root only to about the m-th root of the
+    working precision, so each merged root is polished by a few Newton steps
+    on the (m-1)-th derivative, where the root is simple.  Raises
     RootFindingError when a reported root's residual exceeds the tolerance
     at its scale.
     """
@@ -165,14 +155,9 @@ def char_roots(coeff_values: Sequence[complex],
             if max_step < 1e-14 * scale:
                 break
 
-    clusters = _clusters(monic, roots, residual_tol)
+    clusters = sorted(_clusters(monic, roots, residual_tol),
+                      key=lambda c: (c[0].real, c[0].imag))
     centroids = [c for c, _ in clusters]
-    mults = [m for _, m in clusters]
-    order = sorted(range(len(centroids)),
-                   key=lambda i: (centroids[i].real, centroids[i].imag))
-    centroids = [centroids[i] for i in order]
-    mults = [mults[i] for i in order]
-
     coeff_scale = 1.0 + max(abs(c) for c in coeff_values)
     for root in centroids:
         tol = residual_tol * coeff_scale * max(1.0, abs(root)) ** k
@@ -182,7 +167,7 @@ def char_roots(coeff_values: Sequence[complex],
                 f"root {root} has residual {residual:.3e} above tolerance {tol:.3e} "
                 f"after {max_iterations} iterations"
             )
-    return RootProfile(tuple(centroids), tuple(mults))
+    return RootProfile(tuple(centroids), tuple(m for _, m in clusters))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -221,7 +221,6 @@ def _cmd_bench(args) -> int:
     timings = {}
     for engine in engines:
         samples = []
-        value = None
         for _ in range(max(1, args.reps)):
             start = time.perf_counter_ns()
             value = compute_term(spec, args.n, engine, args.compose)

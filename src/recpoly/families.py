@@ -286,7 +286,8 @@ def _quadext_identity(L, F, delta, n_range, m_range, sign: int,
                        f"u={lhs.u}; v={lhs.v}", f"u={rhs.u}; v={rhs.v}")
 
 
-def _check_4_21_12(family: Order2Family, n_max: int, seed: int) -> Iterator[Mismatch]:
+def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
+                   seed: int) -> Iterator[Mismatch]:
     rng = random.Random(seed)
     F = family.fib_list(n_max + 1)
     L = family.lucas_list(n_max + 1)
@@ -321,7 +322,8 @@ def _check_4_21_12(family: Order2Family, n_max: int, seed: int) -> Iterator[Mism
                            f"{numeric!r}", f"{exact}")
 
 
-def _check_lem_4_4(family: Order2Family, n_max: int, seed: int) -> Iterator[Mismatch]:
+def _check_lem_4_4(family: Order2Family, n_max: int, p_max: int, m_max: int,
+                   seed: int) -> Iterator[Mismatch]:
     rng = random.Random(seed)
     F = family.fib_list(n_max)
     for case in range(3):
@@ -347,10 +349,7 @@ def _catalog() -> dict[str, Callable]:
 
     catalog: dict[str, Callable] = {}
 
-    def lem_4_4(fam, n_max, p_max, m_max, seed):
-        yield from _check_lem_4_4(fam, n_max, seed)
-
-    catalog["lem-4.4"] = lem_4_4
+    catalog["lem-4.4"] = _check_lem_4_4
 
     def thm_4_5(fam, n_max, p_max, m_max, seed):
         F, L = fam.fib_list(n_max), fam.lucas_list(n_max)
@@ -437,10 +436,7 @@ def _catalog() -> dict[str, Callable]:
 
     catalog["thm-4.19"] = thm_4_19
 
-    def thm_4_21_12(fam, n_max, p_max, m_max, seed):
-        yield from _check_4_21_12(fam, n_max, seed)
-
-    catalog["thm-4.21-12"] = thm_4_21_12
+    catalog["thm-4.21-12"] = _check_4_21_12
 
     def make_4_21(sign: int, summed: bool):
         def checker(fam, n_max, p_max, m_max, seed):
