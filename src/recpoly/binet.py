@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, RootFindingError, StructuralError
 
-DEFAULT_COMPOSITION_BUDGET = 5_000_000
+COMPOSITION_BUDGET = 5_000_000
 CLUSTER_RADIUS = 1e-6
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 1000
@@ -59,13 +59,12 @@ def _derivative(poly: Sequence[complex]) -> list[complex]:
     return [c * (degree - i) for i, c in enumerate(poly[:-1])]
 
 
-def _multiple_root(monic: Sequence[complex], estimates: Sequence[complex],
-                   tol: float) -> complex | None:
+def _multiple_root(monic: Sequence[complex], estimates: Sequence[complex]) -> complex | None:
     """The m-fold root that m estimates approximate, or None if there is none.
 
     Newton's method on the (m-1)-th derivative, where the root is simple,
     refines their centroid.  It is kept only where the polynomial and its
-    first m-1 derivatives vanish: each within ``tol`` times its rounding
+    first m-1 derivatives vanish: each within RESIDUAL_TOL times its rounding
     scale, sum |a_i| max(1, |z|)^i.
     """
     m = len(estimates)
@@ -83,40 +82,40 @@ def _multiple_root(monic: Sequence[complex], estimates: Sequence[complex],
         if abs(step) <= 1e-16 * max(1.0, abs(root)):
             break
     w = max(1.0, abs(root))
-    if all(abs(_poly_eval(d, root)) <= tol * _poly_eval([abs(c) for c in d], w).real
+    if all(abs(_poly_eval(d, root)) <= RESIDUAL_TOL * _poly_eval([abs(c) for c in d], w).real
            for d in derivatives[:m]):
         return root
     return None
 
 
-def _clusters(monic: Sequence[complex], roots: Sequence[complex],
-              tol: float) -> list[tuple[complex, int]]:
+def _clusters(monic: Sequence[complex], roots: Sequence[complex]) -> list[tuple[complex, int]]:
     """(root, multiplicity) pairs, largest groups first (any part of an
     m-fold group looks like a smaller group spread too wide).
 
     Durand-Kerner places an m-fold root's estimates about eps^(1/m) apart, so
     the m estimates nearest one of them are a candidate when they lie within
-    relative distance CLUSTER_RADIUS * eps^(1/m - 1/2) of it.  Distinct close
-    roots can lie that near too: :func:`_multiple_root` decides.
+    relative distance CLUSTER_RADIUS * eps^(1/m - 1/2) of it.  A double root
+    next to another multiple root is worse conditioned: in (X-6)^2 (X-7)^2
+    the two estimates of 7 lie about 1e-6 apart relative to 7, so m = 2 gets
+    100 times that radius.  Distinct close roots can lie that near too: :func:`_multiple_root`
+    decides.
     """
     left, groups = list(range(len(roots))), []
     for m in range(len(roots), 1, -1):
-        radius = CLUSTER_RADIUS * sys.float_info.epsilon ** (1 / m - 0.5)
+        radius = CLUSTER_RADIUS * sys.float_info.epsilon ** (1 / m - 0.5) * (100 if m == 2 else 1)
         for i in range(len(roots)):
             near = sorted(left, key=lambda j: abs(roots[j] - roots[i]))[:m]
             if i in left and len(near) == m and all(
                     abs(roots[j] - roots[i]) <= radius * max(1.0, abs(roots[i]), abs(roots[j]))
                     for j in near):
-                root = _multiple_root(monic, [roots[j] for j in near], tol)
+                root = _multiple_root(monic, [roots[j] for j in near])
                 if root is not None:
                     groups.append((root, m))
                     left = [j for j in left if j not in near]
     return groups + [(roots[i], 1) for i in left]
 
 
-def char_roots(coeff_values: Sequence[complex],
-               max_iterations: int = MAX_ITERATIONS,
-               residual_tol: float = RESIDUAL_TOL) -> RootProfile:
+def char_roots(coeff_values: Sequence[complex]) -> RootProfile:
     """All k roots of X^k - c_1 X^{k-1} - ... - c_k, clustered by multiplicity.
 
     Durand-Kerner simultaneous iteration; :func:`_clusters` merges the
@@ -138,7 +137,7 @@ def char_roots(coeff_values: Sequence[complex],
         seed = 0.4 + 0.9j
         roots = [radius * seed ** (j + 1) for j in range(k)]
         scale = max(1.0, radius)
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             max_step = 0.0
             for i in range(k):
                 denom = 1 + 0j
@@ -155,17 +154,17 @@ def char_roots(coeff_values: Sequence[complex],
             if max_step < 1e-14 * scale:
                 break
 
-    clusters = sorted(_clusters(monic, roots, residual_tol),
+    clusters = sorted(_clusters(monic, roots),
                       key=lambda c: (c[0].real, c[0].imag))
     centroids = [c for c, _ in clusters]
     coeff_scale = 1.0 + max(abs(c) for c in coeff_values)
     for root in centroids:
-        tol = residual_tol * coeff_scale * max(1.0, abs(root)) ** k
+        tol = RESIDUAL_TOL * coeff_scale * max(1.0, abs(root)) ** k
         residual = abs(_poly_eval(monic, root))
         if residual > tol:
             raise RootFindingError(
                 f"root {root} has residual {residual:.3e} above tolerance {tol:.3e} "
-                f"after {max_iterations} iterations"
+                f"after {MAX_ITERATIONS} iterations"
             )
     return RootProfile(tuple(centroids), tuple(m for _, m in clusters))
 
@@ -182,11 +181,11 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _check_budget(total: int, parts: int, budget: int) -> None:
+def _check_budget(total: int, parts: int) -> None:
     count = math.comb(total + parts - 1, parts - 1)
-    if count > budget:
+    if count > COMPOSITION_BUDGET:
         raise BudgetExceededError(
-            f"composition count {count} exceeds enumeration budget {budget}"
+            f"composition count {count} exceeds enumeration budget {COMPOSITION_BUDGET}"
         )
 
 
@@ -197,16 +196,14 @@ def _power_table(value: complex, top: int) -> list[complex]:
     return row
 
 
-def binet_distinct(profile: RootProfile, n: int,
-                   budget: int = DEFAULT_COMPOSITION_BUDGET) -> complex:
+def binet_distinct(profile: RootProfile, n: int) -> complex:
     """P^(k-1)_{n+k-1} = sum over i_1+...+i_k = n of alpha_1^{i_1}...alpha_k^{i_k}."""
     if not profile.all_simple():
         raise StructuralError("binet_distinct requires all multiplicities equal to 1")
-    return binet_multiple(profile, n, budget)
+    return binet_multiple(profile, n)
 
 
-def binet_multiple(profile: RootProfile, n: int,
-                   budget: int = DEFAULT_COMPOSITION_BUDGET) -> complex:
+def binet_multiple(profile: RootProfile, n: int) -> complex:
     """The binomial-weighted composition sum over the distinct roots.
 
     Equals :func:`binet_distinct` when every multiplicity is 1.
@@ -214,7 +211,7 @@ def binet_multiple(profile: RootProfile, n: int,
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     s = len(profile.roots)
-    _check_budget(n, s, budget)
+    _check_budget(n, s)
     # Each row holds binom(e+m-1, e) alpha^e; a simple root's weights are 1.
     powers = []
     for root, mult in zip(profile.roots, profile.mults):

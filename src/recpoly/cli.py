@@ -93,7 +93,7 @@ def _parse_point(text: str, variables: Sequence[str]) -> dict[str, int]:
 def _cmd_term(args) -> int:
     spec = _resolve_spec(args)
     start = time.perf_counter_ns()
-    value = compute_term(spec, args.n, args.engine, args.compose)
+    value = compute_term(spec, args.n, args.engine)
     elapsed = time.perf_counter_ns() - start
     text = value.canonical()
     _emit(args, text, {
@@ -105,7 +105,7 @@ def _cmd_term(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = _resolve_spec(args)
-    values = table_terms(spec, args.n_max, args.engine, args.compose)
+    values = table_terms(spec, args.n_max, args.engine)
     # Each row carries the ns spent producing that row alone.
     rows = []
     start = time.perf_counter_ns()
@@ -223,7 +223,7 @@ def _cmd_bench(args) -> int:
         samples = []
         for _ in range(max(1, args.reps)):
             start = time.perf_counter_ns()
-            value = compute_term(spec, args.n, engine, args.compose)
+            value = compute_term(spec, args.n, engine)
             samples.append(time.perf_counter_ns() - start)
         results[engine] = value
         timings[engine] = int(statistics.median(samples))
@@ -257,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order-k recurrent polynomial sequences: engines, identities, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    compose_help = "no effect (kept for old command lines): every engine takes any initial window"
 
     def common(p, engine=True):
         _add_spec_args(p)
         if engine:
             p.add_argument("--engine", choices=ENGINES, default="iterate")
-            p.add_argument("--compose", action="store_true",
-                           help="handle general initials by decomposing over the delta basis")
+            p.add_argument("--compose", action="store_true", help=compose_help)
         p.add_argument("--budget", type=int, default=None, metavar="TERMS",
                        help="maximum term count of any intermediate polynomial")
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench, engine=False)
     p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument("--engines", default="iterate,companion")
-    p_bench.add_argument("--compose", action="store_true")
+    p_bench.add_argument("--compose", action="store_true", help=compose_help)
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -68,13 +68,6 @@ class RecurrenceSpec:
         )
         return self.with_initial(initial)
 
-    def has_delta_initials(self) -> bool:
-        """True when the initial window is (0, ..., 0, 1)."""
-        return all(
-            p == (1 if i == self.order - 1 else 0)
-            for i, p in enumerate(self.initial)
-        )
-
 
 def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
     """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per item."""

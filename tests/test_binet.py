@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import recpoly.binet
 from recpoly import (
     BudgetExceededError,
     RootFindingError,
@@ -73,6 +74,21 @@ class TestCharRoots:
             assert profile.mults == (3,), a
             assert abs(binet_multiple(profile, n) - h[n + 2]) <= 1e-8 * h[n + 2], a
 
+    def test_two_double_roots_cluster(self):
+        # (X - a)^2 (X - b)^2: next to another double root, a double root's
+        # estimates can lie 1e-6 apart, as at 7 in (X - 6)^2 (X - 7)^2.
+        for a in range(-9, 10):
+            for b in range(a + 1, 14):
+                coeffs = [2 * (a + b), -(a * a + 4 * a * b + b * b),
+                          2 * a * b * (a + b), -(a * b) ** 2]
+                assert char_roots(coeffs).mults == (2, 2), (a, b)
+        n, coeffs = 40, [26, -253, 1092, -1764]
+        h = [0, 0, 0, 1]  # delta initials; h_n is term n + 3
+        while len(h) < n + 4:
+            h.append(sum(c * h[-i] for i, c in enumerate(coeffs, start=1)))
+        profile = char_roots(coeffs)
+        assert abs(binet_multiple(profile, n) - h[n + 3]) <= 1e-8 * h[n + 3]
+
     @pytest.mark.parametrize("roots, rel_tol", [
         ((3000, 3001, 3002), 1e-6),
         ((250, 251, 252, 253), 1e-6),
@@ -125,9 +141,10 @@ class TestCharRoots:
             for got, c in zip(monic[1:], coeffs):
                 assert abs(got - (-c)) < 1e-6 * scale
 
-    def test_residual_failure_raised(self):
+    def test_residual_failure_raised(self, monkeypatch):
+        monkeypatch.setattr(recpoly.binet, "MAX_ITERATIONS", 1)
         with pytest.raises(RootFindingError):
-            char_roots([1000.0, -999999.25], max_iterations=1)
+            char_roots([1000.0, -999999.25])
 
     def test_profile_validation(self):
         with pytest.raises(StructuralError):
@@ -175,9 +192,10 @@ class TestBinetDistinct:
             binet_distinct(RootProfile((4 + 0j, 6 + 0j), (2, 1)), 5)
 
     def test_budget(self):
-        profile = char_roots([0, 0, 0, -1])  # X^4 + 1: four simple roots
+        # X^4 + 1: four simple roots, C(10003, 3) compositions of 10,000.
+        profile = char_roots([0, 0, 0, -1])
         with pytest.raises(BudgetExceededError):
-            binet_distinct(profile, 10_000, budget=100)
+            binet_distinct(profile, 10_000)
 
 
 class TestBinetMultiple:
@@ -224,9 +242,10 @@ class TestBinetMultiple:
                 assert abs(binet_multiple(profile, n) - expected) < 1e-8 * (1 + abs(expected))
 
     def test_budget(self):
+        # Three distinct roots: C(10002, 2) compositions of 10,000.
         profile = RootProfile((1 + 0j, 2 + 0j, 3 + 0j), (2, 2, 2))
         with pytest.raises(BudgetExceededError):
-            binet_multiple(profile, 10_000, budget=50)
+            binet_multiple(profile, 10_000)
 
 
 class TestBinetSingle:

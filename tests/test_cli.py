@@ -1,23 +1,28 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recpoly import (
     MultiPoly,
     Order2Family,
     SpecFormatError,
-    StructuralError,
     dickson_family,
     family_spec,
     load_spec,
     spec_from_mapping,
 )
-from recpoly import families
-from recpoly.cli import main
+from conftest import VARS, multipolys
+from recpoly import engines, families
+from recpoly.cli import entry, main
+from recpoly.closedform import generalized_lucas_spec
 from recpoly.engines import ENGINES, compute_term
 
 
@@ -49,7 +54,7 @@ class TestSpecDocuments:
         spec = load_spec(write_spec(tmp_path, CUSTOM_DOC))
         assert spec.order == 2
         assert spec.variables == ("x", "y")
-        assert spec.has_delta_initials()
+        assert spec.initial == spec.delta_spec(1).initial
 
     def test_family_presets(self):
         fib = family_spec("fibonacci2")
@@ -118,16 +123,53 @@ class TestComputeTerm:
             for engine in ENGINES:
                 assert compute_term(spec, n, engine) == reference, (engine, n)
 
-    def test_closed_form_needs_delta_or_compose(self):
-        spec = family_spec("lucas2")
-        with pytest.raises(StructuralError):
-            compute_term(spec, 4, "multinomial")
-        # --compose decomposes general initials over the delta basis.
-        from recpoly import iterate_terms
-        terms = iterate_terms(spec, 10)
-        for n in range(11):
-            assert compute_term(spec, n, "multinomial", compose=True) == terms[n]
-            assert compute_term(spec, n, "determinant", compose=True) == terms[n]
+    def test_closed_form_takes_general_initials(self):
+        # The closed forms give the delta-initial sequence; any other initial
+        # window is decomposed over it, with no flag.
+        for tag in ("lucas2", "dickson-e"):
+            spec = family_spec(tag)
+            assert spec.initial != spec.delta_spec(1).initial
+            for n in range(11):
+                reference = compute_term(spec, n, "iterate")
+                assert compute_term(spec, n, "multinomial") == reference, (tag, n)
+                assert compute_term(spec, n, "determinant") == reference, (tag, n)
+
+    @pytest.mark.parametrize("engine, closed_form", [
+        ("multinomial", "multinomial_term"), ("determinant", "hessenberg_det_symbolic")])
+    def test_delta_initials_cost_one_closed_form_call(self, monkeypatch, engine, closed_form):
+        # N = (0, 0, 0, 1): only b(n - 3) is evaluated, the zero N_j are skipped.
+        calls = []
+        original = getattr(engines, closed_form)
+        monkeypatch.setattr(engines, closed_form,
+                            lambda coeffs, m, **kw: calls.append(m) or original(coeffs, m, **kw))
+        compute_term(generalized_lucas_spec(4), 30, engine)
+        assert calls == [27]
+
+
+@st.composite
+def spec_documents(draw):
+    """Order 1-3 over 0-2 variables with general initials, as a JSON spec document."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    variables = VARS[: draw(st.integers(min_value=0, max_value=2))]
+    texts = multipolys(variables, max_terms=2, max_exp=1, coeff_bound=3).map(MultiPoly.canonical)
+    return {"variables": list(variables), "order": k,
+            "coefficients": draw(st.lists(texts, min_size=k, max_size=k)),
+            "initial": draw(st.lists(texts, min_size=k, max_size=k))}
+
+
+class TestEnginesOnSpecDocuments:
+    @settings(max_examples=60, deadline=None)
+    @given(doc=spec_documents(), n=st.integers(min_value=-2, max_value=25))
+    def test_every_engine_prints_the_same_term(self, tmp_path_factory, doc, n):
+        path = write_spec(tmp_path_factory.getbasetemp(), doc, "property_spec.json")
+        results = set()
+        for engine in ENGINES:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["term", "--spec", path, "--n", str(n), "--engine", engine])
+            results.add((code, out.getvalue()))
+        assert len(results) == 1, results
+        assert results.pop()[0] == (2 if n < 0 else 0)
 
 
 class TestTermCommand:
@@ -236,11 +278,26 @@ class TestTermCommand:
         assert outputs[0] == outputs[1]
 
     def test_closed_form_on_general_initials_exit_code(self, capsys):
-        code, out, err = run(capsys, "term", "--family", "lucas2", "--n", "5",
-                             "--engine", "multinomial")
-        assert code == 2 and out == ""
-        assert err == ("error: engine 'multinomial' computes the delta-initial sequence; "
-                       "this spec has general initials (use --compose)\n")
+        for tag in ("lucas2", "dickson-e"):
+            code, want, _ = run(capsys, "term", "--family", tag, "--n", "5")
+            assert code == 0
+            for engine in ("multinomial", "determinant"):
+                for flag in ([], ["--compose"]):
+                    code, out, err = run(capsys, "term", "--family", tag, "--n", "5",
+                                         "--engine", engine, *flag)
+                    assert (code, out, err) == (0, want, ""), (tag, engine, flag)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_index_exit_code(self, capsys, engine, n):
+        code, out, err = run(capsys, "term", "--family", "fibonacci2", "--n", str(n),
+                             "--engine", engine)
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be >= 0, got {n}\n"
+        code, out, err = run(capsys, "table", "--family", "fibonacci2", "--n-max", str(n),
+                             "--engine", engine)
+        assert (code, out) == (2, "")
+        assert err == f"error: n_max must be >= 0, got {n}\n"
 
     def test_long_integer_literal_exit_code(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"variables": ["x"], "order": 2,
@@ -425,6 +482,16 @@ class TestBenchCommand:
                            "--engines", "iterate,companion,multinomial", "--compose",
                            "--reps", "1")
         assert code == 0
+
+
+class TestConsoleScript:
+    def test_entry_exits_with_the_command_status(self, capsys, monkeypatch):
+        # pyproject.toml installs entry() as the recpoly console script.
+        monkeypatch.setattr(sys, "argv", ["recpoly", "term", "--family", "fibonacci2", "--n", "5"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "x^4 + 3*x^2*y + y^2\n"
 
 
 class TestNoNumpy:

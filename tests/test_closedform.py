@@ -251,7 +251,7 @@ class TestGeneralizedLucas:
         x2 = MultiPoly.var("x2", spec.variables)
         x3 = MultiPoly.var("x3", spec.variables)
         assert spec.coeffs == (x1, -x2, x3)
-        assert spec.has_delta_initials()
+        assert spec.initial == spec.delta_spec(2).initial
 
     def test_order_two_first_terms(self):
         x1 = MultiPoly.var("x1", ("x1", "x2"))

@@ -29,6 +29,9 @@ COMMANDS = [
     "roots --family fibonacci2 --point x=1,y=1",
     "bench --family fibonacci2 --n 40 --engines iterate,companion,multinomial,determinant"
     " --reps 1 --format json-lines",
+    "term --family lucas2 --n 40 --engine multinomial --compose",
+    "term --family dickson-e --n 40 --engine determinant --compose",
+    "table --family lucas2 --n-max 12 --engine determinant --compose",
 ]
 
 

@@ -81,9 +81,8 @@ class TestSpecValidation:
             RecurrenceSpec.make(("x",), [one_x], [one_y])
 
     def test_delta_detection(self):
-        assert fib_spec().has_delta_initials()
-        assert not lucas_spec().has_delta_initials()
-        assert lucas_spec().delta_spec(1).has_delta_initials()
+        assert fib_spec().initial == fib_spec().delta_spec(1).initial
+        assert lucas_spec().initial != lucas_spec().delta_spec(1).initial
 
     def test_delta_spec_index_range(self):
         with pytest.raises(StructuralError):
@@ -140,7 +139,7 @@ class TestIteration:
         want = iterate_terms(spec, n)[n]
         try:
             with term_budget(budget):
-                got = compute_term(spec, n, engine, compose=True)
+                got = compute_term(spec, n, engine)
         except BudgetExceededError:
             return
         assert got == want and got.term_count() <= budget
