@@ -1,34 +1,30 @@
 """Root-based numeric engines for the delta-initial sequence P^(k-1).
 
-Roots of the characteristic polynomial are found by Durand-Kerner
-simultaneous iteration and clustered into multiplicities; the value
-P^(k-1)_{n+k-1} is then the complete homogeneous sum over the roots
-(distinct case), the binomial-weighted composition sum (multiple roots),
-or binom(n+k-1, n) alpha^n (single root).
-
-Composition sums are enumerated directly, matching the shape of the
-formulas they implement; an enumeration budget keeps that desk-scale.
+The coefficients are taken as exact rationals, so the multiplicities of the
+characteristic polynomial's roots are exact for the given values: repeated
+gcds with the derivative split it into square-free factors by multiplicity
+(Yun, "On square-free decomposition algorithms", SYMSAC 1976), and
+Durand-Kerner simultaneous iteration finds the roots of each factor, where
+every root is simple.  The value P^(k-1)_{n+k-1} is the complete homogeneous
+sum h_n over the roots counted with multiplicity, the X^n coefficient of
+prod (1 - alpha X)^(-m), or binom(n+k-1, n) alpha^n for a single root.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, RootFindingError, StructuralError
+from .errors import RootFindingError, StructuralError
 
-COMPOSITION_BUDGET = 5_000_000
-CLUSTER_RADIUS = 1e-6
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 1000
-POLISH_STEPS = 4
 
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Clustered roots of a characteristic polynomial with multiplicities."""
+    """Distinct roots of a characteristic polynomial with multiplicities."""
 
     roots: tuple[complex, ...]
     mults: tuple[int, ...]
@@ -54,111 +50,111 @@ def _poly_eval(monic: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def _derivative(poly: Sequence[complex]) -> list[complex]:
+# Exact polynomials are coefficient lists, highest degree first; zero is [].
+
+def _derivative(poly: Sequence) -> list:
     degree = len(poly) - 1
     return [c * (degree - i) for i, c in enumerate(poly[:-1])]
 
 
-def _multiple_root(monic: Sequence[complex], estimates: Sequence[complex]) -> complex | None:
-    """The m-fold root that m estimates approximate, or None if there is none.
+def _divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder; the remainder has no leading zeros."""
+    rem, quo = list(num), []
+    for i in range(len(num) - len(den) + 1):
+        t = rem[i] / den[0]
+        quo.append(t)
+        for j, d in enumerate(den):
+            rem[i + j] -= t * d
+    rem = rem[len(quo):]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quo, rem
 
-    Newton's method on the (m-1)-th derivative, where the root is simple,
-    refines their centroid.  It is kept only where the polynomial and its
-    first m-1 derivatives vanish: each within RESIDUAL_TOL times its rounding
-    scale, sum |a_i| max(1, |z|)^i.
-    """
-    m = len(estimates)
-    root = sum(estimates) / m
-    derivatives = [list(monic)]
-    for _ in range(m):
-        derivatives.append(_derivative(derivatives[-1]))
-    poly, slope = derivatives[m - 1], derivatives[m]
-    for _ in range(POLISH_STEPS):
-        denom = _poly_eval(slope, root)
-        if denom == 0:
+
+def _gcd(a: Sequence, b: Sequence) -> list:
+    """The monic gcd of a nonzero a and any b."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[0] for c in a]
+
+
+def _square_free_factors(monic: Sequence) -> list[list]:
+    """[f_1, f_2, ...] with monic = prod f_m^m, each f_m square-free (Yun)."""
+    slope = _derivative(monic)
+    a = _gcd(monic, slope)
+    b, c = _divmod(monic, a)[0], _divmod(slope, a)[0]
+    factors = []
+    while len(b) > 1:
+        d = [x - y for x, y in zip(c, _derivative(b))]
+        while d and d[0] == 0:
+            d.pop(0)
+        a = _gcd(b, d)
+        factors.append(a)
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+    return factors
+
+
+def _simple_roots(factor: Sequence) -> list[complex]:
+    """The roots of a monic square-free exact polynomial, by Durand-Kerner."""
+    k = len(factor) - 1
+    if k < 2:
+        # Rooted from the exact value, so a zero imaginary part stays +0.
+        return [complex(-factor[1])] if k else []
+    monic = [complex(c) for c in factor]
+    radius = 1.0 + max(abs(c) for c in monic[1:])
+    seed = 0.4 + 0.9j
+    roots = [radius * seed ** (j + 1) for j in range(k)]
+    scale = max(1.0, radius)
+    for _ in range(MAX_ITERATIONS):
+        max_step = 0.0
+        for i in range(k):
+            denom = 1 + 0j
+            for j in range(k):
+                if j != i:
+                    denom *= roots[i] - roots[j]
+            if denom == 0:
+                roots[i] += (1e-8 + 1e-8j) * scale
+                max_step = scale
+                continue
+            step = _poly_eval(monic, roots[i]) / denom
+            roots[i] -= step
+            max_step = max(max_step, abs(step))
+        if max_step < 1e-14 * scale:
             break
-        step = _poly_eval(poly, root) / denom
-        root -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(root)):
-            break
-    w = max(1.0, abs(root))
-    if all(abs(_poly_eval(d, root)) <= RESIDUAL_TOL * _poly_eval([abs(c) for c in d], w).real
-           for d in derivatives[:m]):
-        return root
-    return None
-
-
-def _clusters(monic: Sequence[complex], roots: Sequence[complex]) -> list[tuple[complex, int]]:
-    """(root, multiplicity) pairs, largest groups first (any part of an
-    m-fold group looks like a smaller group spread too wide).
-
-    Durand-Kerner places an m-fold root's estimates about eps^(1/m) apart, so
-    the m estimates nearest one of them are a candidate when they lie within
-    relative distance CLUSTER_RADIUS * eps^(1/m - 1/2) of it.  A double root
-    next to another multiple root is worse conditioned: in (X-6)^2 (X-7)^2
-    the two estimates of 7 lie about 1e-6 apart relative to 7, so m = 2 gets
-    100 times that radius.  Distinct close roots can lie that near too: :func:`_multiple_root`
-    decides.
-    """
-    left, groups = list(range(len(roots))), []
-    for m in range(len(roots), 1, -1):
-        radius = CLUSTER_RADIUS * sys.float_info.epsilon ** (1 / m - 0.5) * (100 if m == 2 else 1)
-        for i in range(len(roots)):
-            near = sorted(left, key=lambda j: abs(roots[j] - roots[i]))[:m]
-            if i in left and len(near) == m and all(
-                    abs(roots[j] - roots[i]) <= radius * max(1.0, abs(roots[i]), abs(roots[j]))
-                    for j in near):
-                root = _multiple_root(monic, [roots[j] for j in near])
-                if root is not None:
-                    groups.append((root, m))
-                    left = [j for j in left if j not in near]
-    return groups + [(roots[i], 1) for i in left]
+    return roots
 
 
 def char_roots(coeff_values: Sequence[complex]) -> RootProfile:
-    """All k roots of X^k - c_1 X^{k-1} - ... - c_k, clustered by multiplicity.
+    """All roots of X^k - c_1 X^{k-1} - ... - c_k with their multiplicities.
 
-    Durand-Kerner simultaneous iteration; :func:`_clusters` merges the
-    estimates of each multiple root into one, with summed multiplicity.
-    Durand-Kerner locates an m-fold root only to about the m-th root of the
-    working precision, so each merged root is polished by a few Newton steps
-    on the (m-1)-th derivative, where the root is simple.  Raises
-    RootFindingError when a reported root's residual exceeds the tolerance
-    at its scale.
+    The c_i must be real (int, float, or complex with zero imaginary part);
+    each is read as the exact rational it holds, so the multiplicities are
+    exact and only the roots themselves are approximate.  Raises
+    RootFindingError when a root's residual exceeds the tolerance at its
+    scale.
     """
+    # Imported here: nothing else in ``import recpoly`` loads fractions.
+    from fractions import Fraction
+
     k = len(coeff_values)
     if k < 1:
         raise StructuralError("need at least one coefficient")
-    monic = [1 + 0j] + [-complex(c) for c in coeff_values]
-    if k == 1:
-        roots = [complex(coeff_values[0])]
-    else:
-        radius = 1.0 + max(abs(c) for c in coeff_values)
-        seed = 0.4 + 0.9j
-        roots = [radius * seed ** (j + 1) for j in range(k)]
-        scale = max(1.0, radius)
-        for _ in range(MAX_ITERATIONS):
-            max_step = 0.0
-            for i in range(k):
-                denom = 1 + 0j
-                for j in range(k):
-                    if j != i:
-                        denom *= roots[i] - roots[j]
-                if denom == 0:
-                    roots[i] += (1e-8 + 1e-8j) * scale
-                    max_step = scale
-                    continue
-                step = _poly_eval(monic, roots[i]) / denom
-                roots[i] -= step
-                max_step = max(max_step, abs(step))
-            if max_step < 1e-14 * scale:
-                break
-
-    clusters = sorted(_clusters(monic, roots),
-                      key=lambda c: (c[0].real, c[0].imag))
-    centroids = [c for c, _ in clusters]
-    coeff_scale = 1.0 + max(abs(c) for c in coeff_values)
-    for root in centroids:
+    exact = [Fraction(1)]
+    for c in coeff_values:
+        if isinstance(c, complex):
+            if c.imag:
+                raise StructuralError(f"coefficients must be real, got {c}")
+            c = c.real
+        exact.append(-Fraction(c))
+    try:
+        monic = [complex(c) for c in exact]
+    except OverflowError:
+        raise StructuralError("a coefficient is too large for floating-point root finding") from None
+    found = sorted(((root, m) for m, factor in enumerate(_square_free_factors(exact), start=1)
+                    for root in _simple_roots(factor)),
+                   key=lambda r: (r[0].real, r[0].imag))
+    coeff_scale = 1.0 + max(abs(c) for c in monic[1:])
+    for root, _ in found:
         tol = RESIDUAL_TOL * coeff_scale * max(1.0, abs(root)) ** k
         residual = abs(_poly_eval(monic, root))
         if residual > tol:
@@ -166,7 +162,7 @@ def char_roots(coeff_values: Sequence[complex]) -> RootProfile:
                 f"root {root} has residual {residual:.3e} above tolerance {tol:.3e} "
                 f"after {MAX_ITERATIONS} iterations"
             )
-    return RootProfile(tuple(centroids), tuple(m for _, m in clusters))
+    return RootProfile(tuple(r for r, _ in found), tuple(m for _, m in found))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -181,21 +177,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _check_budget(total: int, parts: int) -> None:
-    count = math.comb(total + parts - 1, parts - 1)
-    if count > COMPOSITION_BUDGET:
-        raise BudgetExceededError(
-            f"composition count {count} exceeds enumeration budget {COMPOSITION_BUDGET}"
-        )
-
-
-def _power_table(value: complex, top: int) -> list[complex]:
-    row = [1 + 0j]
-    for _ in range(top):
-        row.append(row[-1] * value)
-    return row
-
-
 def binet_distinct(profile: RootProfile, n: int) -> complex:
     """P^(k-1)_{n+k-1} = sum over i_1+...+i_k = n of alpha_1^{i_1}...alpha_k^{i_k}."""
     if not profile.all_simple():
@@ -204,28 +185,19 @@ def binet_distinct(profile: RootProfile, n: int) -> complex:
 
 
 def binet_multiple(profile: RootProfile, n: int) -> complex:
-    """The binomial-weighted composition sum over the distinct roots.
-
-    Equals :func:`binet_distinct` when every multiplicity is 1.
+    """h_n over the roots counted with multiplicity: the X^n coefficient of
+    prod (1 - alpha X)^(-m), one pass h_e += alpha h_{e-1} per root and
+    multiplicity, so O(n k).  Equals :func:`binet_distinct` when every
+    multiplicity is 1.
     """
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
-    s = len(profile.roots)
-    _check_budget(n, s)
-    # Each row holds binom(e+m-1, e) alpha^e; a simple root's weights are 1.
-    powers = []
+    h = [1 + 0j] + [0j] * n
     for root, mult in zip(profile.roots, profile.mults):
-        row = _power_table(root, n)
-        if mult > 1:
-            row = [math.comb(e + mult - 1, e) * p for e, p in enumerate(row)]
-        powers.append(row)
-    total = 0j
-    for counts in compositions(n, s):
-        term = 1 + 0j
-        for row, e in zip(powers, counts):
-            term *= row[e]
-        total += term
-    return total
+        for _ in range(mult):
+            for e in range(1, n + 1):
+                h[e] += root * h[e - 1]
+    return h[n]
 
 
 def binet_single(alpha: complex, k: int, n: int) -> complex:

@@ -145,8 +145,7 @@ def _cmd_roots(args) -> int:
     spec = _resolve_spec(args)
     point = _parse_point(args.point, spec.variables)
     start = time.perf_counter_ns()
-    values = [complex(c.eval_int(point)) for c in spec.coeffs]
-    profile = char_roots(values)
+    profile = char_roots([c.eval_int(point) for c in spec.coeffs])
     elapsed = time.perf_counter_ns() - start
     for i, (root, mult) in enumerate(zip(profile.roots, profile.mults)):
         _emit(args, f"{_fmt_complex(root)}\tmult={mult}", {

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import StructuralError
 from .recurrence import RecurrenceSpec, iterate_terms
-from .ring import MultiPoly
+from .ring import MultiPoly, check_budget
 
 
 def weighted_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -187,11 +187,15 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 def hessenberg_det_numeric_oracle(coeffs: Sequence[MultiPoly], n: int,
                                   point: Mapping[str, int]) -> int:
     """Evaluate the literal n x n matrix at an integer point and take its
-    determinant by Bareiss elimination (deliberately not via the recurrence)."""
+    determinant by Bareiss elimination (deliberately not via the recurrence).
+
+    Inside a term budget, a matrix of more than ``budget`` entries is refused
+    before it is built."""
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
+    check_budget(n * n, "matrix entry count")
     matrix = hessenberg_matrix(coeffs, n)
     return bareiss_det([[entry.eval_int(point) for entry in row] for row in matrix])
 

@@ -6,7 +6,7 @@ from typing import Callable, Iterator
 
 from .closedform import hessenberg_det_symbolic, multinomial_term
 from .errors import StructuralError
-from .recurrence import RecurrenceSpec, companion_power_term, iter_terms, iterate_terms
+from .recurrence import RecurrenceSpec, companion_power_term, iter_terms
 from .ring import MultiPoly
 
 
@@ -28,6 +28,12 @@ def _closed_form(spec: RecurrenceSpec, n: int, b: Callable[[int], MultiPoly]) ->
     return total
 
 
+def _iterate(spec: RecurrenceSpec, n: int) -> MultiPoly:
+    for term in iter_terms(spec, n):
+        pass
+    return term
+
+
 def _multinomial(spec: RecurrenceSpec, n: int) -> MultiPoly:
     cache: dict = {}  # coefficient powers, shared by the b(m) of one term
     return _closed_form(spec, n, lambda m: multinomial_term(spec.coeffs, m, power_cache=cache))
@@ -41,7 +47,7 @@ def _determinant(spec: RecurrenceSpec, n: int) -> MultiPoly:
 # globals at call time, so a wrapper installed by rebinding a module
 # attribute sees every call.  The CLI lists the engines in key order.
 ENGINES = {
-    "iterate": lambda spec, n: iterate_terms(spec, n)[n],
+    "iterate": _iterate,
     "multinomial": _multinomial,
     "determinant": _determinant,
     "companion": lambda spec, n: companion_power_term(spec, n),

@@ -10,7 +10,7 @@ class VariableMismatchError(StructuralError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A term-count, enumeration or print-length budget was exceeded."""
+    """A term-count (or matrix-entry-count) budget or the print length was exceeded."""
 
 
 class RootFindingError(RuntimeError):

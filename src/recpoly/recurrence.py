@@ -16,6 +16,7 @@ it fail cleanly once any sum or product it builds exceeds a term count.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -70,17 +71,18 @@ class RecurrenceSpec:
 
 
 def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
-    """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per item."""
+    """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per
+    item, holding only the last k terms."""
     if n_max < 0:
         raise StructuralError(f"n_max must be >= 0, got {n_max}")
-    terms = list(spec.initial[: n_max + 1])
-    yield from terms
-    while len(terms) <= n_max:
+    window = deque(spec.initial, maxlen=spec.order)
+    yield from spec.initial[: n_max + 1]
+    for _ in range(spec.order, n_max + 1):
         nxt = MultiPoly.zero(spec.variables)
         for i, c in enumerate(spec.coeffs, start=1):
-            nxt = nxt + c * terms[-i]
-        terms.append(nxt)
-        yield terms[-1]
+            nxt = nxt + c * window[-i]
+        window.append(nxt)
+        yield nxt
 
 
 def iterate_terms(spec: RecurrenceSpec, n_max: int) -> list[MultiPoly]:

@@ -58,6 +58,13 @@ def term_budget(limit: Optional[int]) -> Iterator[None]:
         _TERM_BUDGET.reset(token)
 
 
+def check_budget(count: int, what: str) -> None:
+    """Raise :class:`BudgetExceededError` if ``count`` exceeds the term budget."""
+    limit = _TERM_BUDGET.get()
+    if limit is not None and count > limit:
+        raise BudgetExceededError(f"{what} {count} exceeds budget {limit}")
+
+
 # A field holds the sum of two exponents at most DEGREE_GUARD without a carry.
 _FIELD_BITS = (2 * DEGREE_GUARD).bit_length()
 _FIELD_MASK = (1 << _FIELD_BITS) - 1

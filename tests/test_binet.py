@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recpoly.binet
 from recpoly import (
-    BudgetExceededError,
     RootFindingError,
     RootProfile,
     StructuralError,
@@ -17,6 +18,36 @@ from recpoly import (
     iterate_terms,
 )
 from support import random_integer_spec, spec_from_roots
+
+
+def integer_recurrence(coeffs, n):
+    """h_n = P^(k-1)_{n+k-1} of X^k - c_1 X^{k-1} - ... - c_k, in integers."""
+    k = len(coeffs)
+    h = [0] * (k - 1) + [1]
+    while len(h) < n + k:
+        h.append(sum(c * h[-i] for i, c in enumerate(coeffs, start=1)))
+    return h[n + k - 1]
+
+
+def monic_from_roots(roots):
+    """Coefficients of prod (X - r), highest degree first."""
+    monic = [1]
+    for r in roots:
+        monic = [a - r * b for a, b in zip(monic + [0], [0] + monic)]
+    return monic
+
+
+@st.composite
+def root_multisets(draw):
+    """Distinct integer roots in -9..9 with multiplicities 1-3, k <= 6."""
+    roots = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6, unique=True))
+    mults = []
+    for _ in roots:
+        room = 6 - sum(mults)
+        if room == 0:
+            break
+        mults.append(draw(st.integers(1, min(3, room))))
+    return sorted(zip(roots, mults))
 
 
 class TestCompositions:
@@ -141,6 +172,28 @@ class TestCharRoots:
             for got, c in zip(monic[1:], coeffs):
                 assert abs(got - (-c)) < 1e-6 * scale
 
+    @settings(max_examples=150, deadline=None)
+    @given(multiset=root_multisets(), n=st.integers(0, 60))
+    def test_integer_root_multisets(self, multiset, n):
+        # Multiplicities are exact, roots accurate to rounding, and h_n is
+        # within 1e-8 of the integer recurrence relative to h_n over |roots|,
+        # the scale of the sum's rounding (h_n itself may cancel to 0).
+        expanded = [r for r, m in multiset for _ in range(m)]
+        coeffs = [-c for c in monic_from_roots(expanded)[1:]]
+        profile = char_roots(coeffs)
+        found = sorted((round(z.real), m) for z, m in zip(profile.roots, profile.mults))
+        assert found == multiset
+        for z in profile.roots:
+            assert abs(z - round(z.real)) <= 1e-9 * max(1, abs(z))
+        scale = integer_recurrence([-c for c in monic_from_roots([abs(r) for r in expanded])[1:]], n)
+        want = integer_recurrence(coeffs, n)
+        assert abs(binet_multiple(profile, n) - want) <= 1e-8 * max(1, scale)
+
+    def test_rejects_non_real_coefficients(self):
+        with pytest.raises(StructuralError):
+            char_roots([1, 2j])
+        assert char_roots([complex(4), complex(-4)]).mults == (2,)
+
     def test_residual_failure_raised(self, monkeypatch):
         monkeypatch.setattr(recpoly.binet, "MAX_ITERATIONS", 1)
         with pytest.raises(RootFindingError):
@@ -191,11 +244,13 @@ class TestBinetDistinct:
         with pytest.raises(StructuralError):
             binet_distinct(RootProfile((4 + 0j, 6 + 0j), (2, 1)), 5)
 
-    def test_budget(self):
-        # X^4 + 1: four simple roots, C(10003, 3) compositions of 10,000.
+    def test_periodic_value_at_n_10000(self):
+        # X^4 + 1: P_{n+4} = -P_n, so h_10000 = P_10003 = P_3 = 1.
         profile = char_roots([0, 0, 0, -1])
-        with pytest.raises(BudgetExceededError):
-            binet_distinct(profile, 10_000)
+        assert profile.all_simple()
+        want = integer_recurrence([0, 0, 0, -1], 10_000)
+        assert want == 1
+        assert abs(binet_distinct(profile, 10_000) - want) < 1e-8
 
 
 class TestBinetMultiple:
@@ -241,11 +296,14 @@ class TestBinetMultiple:
                 expected = terms[n + spec.order - 1].eval_int({})
                 assert abs(binet_multiple(profile, n) - expected) < 1e-8 * (1 + abs(expected))
 
-    def test_budget(self):
-        # Three distinct roots: C(10002, 2) compositions of 10,000.
-        profile = RootProfile((1 + 0j, 2 + 0j, 3 + 0j), (2, 2, 2))
-        with pytest.raises(BudgetExceededError):
-            binet_multiple(profile, 10_000)
+    def test_value_at_n_10000(self):
+        # (X^2 + 1)^2: two double roots on the unit circle, h_10000 = 5001.
+        coeffs = [0, -2, 0, -1]
+        profile = char_roots(coeffs)
+        assert profile.mults == (2, 2)
+        want = integer_recurrence(coeffs, 10_000)
+        assert want == 5001
+        assert abs(binet_multiple(profile, 10_000) - want) < 1e-8 * want
 
 
 class TestBinetSingle:

@@ -366,6 +366,16 @@ class TestDetCommand:
         assert code == 3 and out == ""
         assert err == "error: term count 3 exceeds budget 2\n"
 
+    def test_point_budget_refuses_the_dense_matrix(self, capsys):
+        # The Bareiss oracle builds the literal N x N matrix: 9,000,000
+        # entries against a budget of 10 are refused before any is built.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "det", "--family", "fibonacci2", "--size", "3000",
+                             "--point", "x=1,y=1", "--budget", "10")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert err == "error: matrix entry count 9000000 exceeds budget 10\n"
+
     def test_numeric_value_too_long_to_print(self, capsys):
         # The 2 x 2 determinant is x^2 + y: about 8000 digits at this point.
         code, out, err = run(capsys, "det", "--family", "fibonacci2", "--size", "2",
@@ -400,6 +410,12 @@ class TestRootsCommand:
         assert [r["kind"] for r in records] == ["root", "root"]
         assert all(r["engine"] == "durand-kerner" for r in records)
         assert records[1]["multiplicity"] == 1
+
+    def test_coefficient_past_float_range(self, capsys):
+        code, out, err = run(capsys, "roots", "--family", "fibonacci2",
+                             "--point", f"x={10**400},y=1")
+        assert code == 2 and out == ""
+        assert err == "error: a coefficient is too large for floating-point root finding\n"
 
 
 class TestIdentityCommand:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import VARS, multipolys
 from recpoly import (
+    BudgetExceededError,
     MultiPoly,
     RecurrenceSpec,
     StructuralError,
@@ -18,6 +19,7 @@ from recpoly import (
     hessenberg_det_symbolic,
     iterate_terms,
     multinomial_term,
+    term_budget,
     weighted_compositions,
 )
 from recpoly.closedform import hessenberg_det, hessenberg_matrix, multinomial
@@ -225,6 +227,16 @@ class TestNumericOracle:
             for n in range(0, 9):
                 sym = hessenberg_det_symbolic(spec.coeffs, n).eval_int(point)
                 assert hessenberg_det_numeric_oracle(spec.coeffs, n, point) == sym
+
+
+    def test_budget_bounds_the_matrix(self):
+        variables = ("x",)
+        cs = [MultiPoly.var("x", variables), MultiPoly.const(variables, 1)]
+        with term_budget(24):
+            with pytest.raises(BudgetExceededError, match="^matrix entry count 25 exceeds budget 24$"):
+                hessenberg_det_numeric_oracle(cs, 5, {"x": 1})
+        with term_budget(25):
+            assert hessenberg_det_numeric_oracle(cs, 5, {"x": 1}) == 8
 
 
 class TestSeriesInversion:

@@ -32,6 +32,9 @@ COMMANDS = [
     "term --family lucas2 --n 40 --engine multinomial --compose",
     "term --family dickson-e --n 40 --engine determinant --compose",
     "table --family lucas2 --n-max 12 --engine determinant --compose",
+    "roots --family fibonacci2 --point x=4,y=-4",
+    "roots --family fibonacci2 --point x=0,y=0",
+    "roots --family generalized-lucas --order 3 --point x1=3,x2=3,x3=1",
 ]
 
 

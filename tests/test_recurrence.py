@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -127,6 +128,21 @@ class TestIteration:
         # A loose budget must not interfere.
         with term_budget(1000):
             assert len(iterate_terms(fib_spec(), 12)) == 13
+
+    def test_iterate_engine_keeps_only_its_window(self):
+        # Holding every term up to n, the iterate engine peaked at 16 times
+        # the companion engine's traced memory here; the last k terms and
+        # the step being built stay below twice it.
+        spec = family_spec("fibonacci2")
+        peaks = {}
+        for engine in ("iterate", "companion"):
+            tracemalloc.start()
+            try:
+                compute_term(spec, 200, engine)
+                peaks[engine] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["iterate"] < 2 * peaks["companion"], peaks
 
     @settings(max_examples=100, deadline=None)
     @given(spec=growing_specs(), n=st.integers(min_value=0, max_value=30),
