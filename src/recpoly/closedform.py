@@ -18,11 +18,11 @@ that is the default, with the published variant kept for regression tests.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import StructuralError
 from .recurrence import RecurrenceSpec, iterate_terms
-from .ring import MultiPoly, check_budget
+from .ring import MultiPoly, _addmul, _charged, check_budget
 
 
 def weighted_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -80,14 +80,16 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
             powers.append(powers[-1] * coeffs[i])
         return powers[e]
 
-    total = MultiPoly.zero(variables)
+    one = MultiPoly.const(variables, 1)
+    total: dict[int, int] = {}
     for counts in weighted_compositions(k, n):
+        factors = [power(i, c) for i, c in enumerate(counts) if c] or [one]
         term = MultiPoly.const(variables, multinomial(counts))
-        for i, c in enumerate(counts):
-            if c:
-                term = term * power(i, c)
-        total = total + term
-    return total
+        for factor in factors[:-1]:
+            term = term * factor
+        # The last product of each term is added into the sum in place.
+        _addmul(total, variables, term.terms, factors[-1].terms)
+    return _charged(variables, total)
 
 
 def hessenberg_matrix(coeffs: Sequence[MultiPoly], n: int) -> list[list[MultiPoly]]:
@@ -114,46 +116,77 @@ def hessenberg_matrix(coeffs: Sequence[MultiPoly], n: int) -> list[list[MultiPol
     return rows
 
 
-def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Symbolic determinant of an upper Hessenberg matrix.
+def _hessenberg_minors(minors: list[MultiPoly], n: int,
+                       column: Callable[[int], Sequence[MultiPoly]],
+                       subdiag: Callable[[int], MultiPoly]) -> list[MultiPoly]:
+    """Extend [d_0, ..., d_j] in place to the leading principal minors
+    d_0..d_n of an upper Hessenberg matrix, and return the list.
 
     Laplace expansion along the last column of each leading principal minor:
     d_m = sum_r (-1)^(m-r) a[r-1][m-1] (prod of subdiagonal entries) d_{r-1},
-    with d_0 = 1 (empty determinant).  The sum for column m stops at its
-    topmost nonzero entry, so a banded matrix costs ring products in
-    proportion to its band, not to m; zeros inside the band are allowed.
+    with d_0 = 1 (empty determinant).  ``column(m)`` lists a[m-1][m-1],
+    a[m-2][m-1], ... upward and ends at the column's topmost nonzero entry,
+    so the sum costs ring products in proportion to the band, not to m;
+    zeros inside the band are allowed.  ``subdiag(r)`` is a[r-1][r-2].
     """
+    variables = minors[0].variables
+    one = MultiPoly.const(variables, 1)
+    for m in range(len(minors), n + 1):
+        acc: dict[int, int] = {}
+        entries = column(m)
+        subdiag_prod = one
+        # r runs downward so the subdiagonal product can grow incrementally.
+        for offset, entry in enumerate(entries):
+            r = m - offset
+            if not entry.is_zero():
+                factor = entry * subdiag_prod
+                if offset % 2:
+                    factor = -factor
+                _addmul(acc, variables, factor.terms, minors[r - 1].terms)
+            if offset + 1 < len(entries):
+                subdiag_prod = subdiag_prod * subdiag(r)
+        minors.append(_charged(variables, acc))
+    return minors
+
+
+def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Symbolic determinant of an upper Hessenberg matrix, by expanding
+    its leading principal minors (see :func:`_hessenberg_minors`)."""
     n = len(matrix)
     if n == 0:
         raise StructuralError("use the coefficient-level wrapper for the empty determinant")
-    variables = matrix[0][0].variables
-    minors = [MultiPoly.const(variables, 1)]
-    for m in range(1, n + 1):
-        acc = MultiPoly.zero(variables)
+
+    def column(m: int) -> list[MultiPoly]:
         top = next((r for r in range(1, m + 1) if not matrix[r - 1][m - 1].is_zero()), m)
-        subdiag_prod = MultiPoly.const(variables, 1)
-        # r runs downward so the subdiagonal product can grow incrementally.
-        for r in range(m, top - 1, -1):
-            entry = matrix[r - 1][m - 1]
-            if not entry.is_zero():
-                term = entry * subdiag_prod * minors[r - 1]
-                if (m - r) % 2:
-                    term = -term
-                acc = acc + term
-            if r > top:
-                subdiag_prod = subdiag_prod * matrix[r - 1][r - 2]
-        minors.append(acc)
-    return minors[n]
+        return [matrix[r - 1][m - 1] for r in range(m, top - 1, -1)]
+
+    one = MultiPoly.const(matrix[0][0].variables, 1)
+    return _hessenberg_minors([one], n, column, lambda r: matrix[r - 1][r - 2])[n]
 
 
-def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int) -> MultiPoly:
-    """P^(k-1)_{n+k-1} as the n x n symbolic Hessenberg determinant; n = 0 gives 1."""
+def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int,
+                            minors: Optional[list[MultiPoly]] = None) -> MultiPoly:
+    """P^(k-1)_{n+k-1} as the n x n symbolic Hessenberg determinant; n = 0 gives 1.
+
+    The expansion reads the band (c_1, ..., c_k above the diagonal, -1 below
+    it) straight from ``coeffs``; the matrix is never built.  ``minors`` may
+    be shared across calls with the same coefficient list: it holds the
+    leading principal minors d_0, d_1, ... found so far and is extended to
+    d_n, so one expansion serves every n up to the largest asked for.
+    """
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     variables = coeffs[0].variables
-    if n == 0:
-        return MultiPoly.const(variables, 1)
-    return hessenberg_det(hessenberg_matrix(coeffs, n))
+    if minors is None:
+        minors = []
+    if not minors:
+        minors.append(MultiPoly.const(variables, 1))
+    # Column m holds c_1, ..., c_min(m, k) from the diagonal upward; the
+    # band ends at the last nonzero coefficient.
+    width = max((j + 1 for j, c in enumerate(coeffs) if not c.is_zero()), default=0)
+    band = list(coeffs[:width])
+    minus_one = MultiPoly.const(variables, -1)
+    return _hessenberg_minors(minors, n, lambda m: band[:m], lambda r: minus_one)[n]
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

@@ -7,7 +7,7 @@ from typing import Callable, Iterator
 from .closedform import hessenberg_det_symbolic, multinomial_term
 from .errors import StructuralError
 from .recurrence import RecurrenceSpec, companion_power_term, iter_terms
-from .ring import MultiPoly
+from .ring import MultiPoly, _addmul, _charged
 
 
 def _closed_form(spec: RecurrenceSpec, n: int, b: Callable[[int], MultiPoly]) -> MultiPoly:
@@ -18,49 +18,60 @@ def _closed_form(spec: RecurrenceSpec, n: int, b: Callable[[int], MultiPoly]) ->
     over the delta-initial sequence.  Zero N_j are skipped, so delta
     initials, where N = (0, ..., 0, 1), cost the one call b(n-k+1).
     """
-    total = MultiPoly.zero(spec.variables)
+    variables = spec.variables
+    total: dict[int, int] = {}
     for j in range(min(spec.order - 1, n) + 1):
-        nj = spec.initial[j]
+        nj = dict(spec.initial[j].terms)
         for i in range(1, j + 1):
-            nj = nj - spec.coeffs[i - 1] * spec.initial[j - i]
-        if not nj.is_zero():
-            total = total + nj * b(n - j)
-    return total
+            _addmul(nj, variables, (-spec.coeffs[i - 1]).terms, spec.initial[j - i].terms)
+        if nj:
+            _addmul(total, variables, nj, b(n - j).terms)
+    return _charged(variables, total)
 
 
-def _iterate(spec: RecurrenceSpec, n: int) -> MultiPoly:
+def _iterate(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
     for term in iter_terms(spec, n):
         pass
     return term
 
 
-def _multinomial(spec: RecurrenceSpec, n: int) -> MultiPoly:
-    cache: dict = {}  # coefficient powers, shared by the b(m) of one term
+def _multinomial(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
+    # The cache holds the coefficient powers.
     return _closed_form(spec, n, lambda m: multinomial_term(spec.coeffs, m, power_cache=cache))
 
 
-def _determinant(spec: RecurrenceSpec, n: int) -> MultiPoly:
-    return _closed_form(spec, n, lambda m: hessenberg_det_symbolic(spec.coeffs, m))
+def _determinant(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
+    # The cache holds the leading principal minors: one expansion serves
+    # every b(m) of a term, and every row of a table.
+    minors = cache.setdefault("minors", [])
+    return _closed_form(spec, n, lambda m: hessenberg_det_symbolic(spec.coeffs, m, minors=minors))
 
 
-# Each entry is fn(spec, n).  It calls its engine through this module's
-# globals at call time, so a wrapper installed by rebinding a module
-# attribute sees every call.  The CLI lists the engines in key order.
+# Each entry is fn(spec, n, cache), where ``cache`` is a dict the engine may
+# fill and reuse across calls for the same spec.  It calls its engine
+# through this module's globals at call time, so a wrapper installed by
+# rebinding a module attribute sees every call.  The CLI lists the engines
+# in key order.
 ENGINES = {
     "iterate": _iterate,
     "multinomial": _multinomial,
     "determinant": _determinant,
-    "companion": lambda spec, n: companion_power_term(spec, n),
+    "companion": lambda spec, n, cache: companion_power_term(spec, n),
 }
+
+
+def _engine(name: str) -> Callable[[RecurrenceSpec, int, dict], MultiPoly]:
+    if name not in ENGINES:
+        raise StructuralError(f"unknown engine {name!r}")
+    return ENGINES[name]
 
 
 def compute_term(spec: RecurrenceSpec, n: int, engine: str) -> MultiPoly:
     """P_n by the named engine (consistent indexing across engines)."""
-    if engine not in ENGINES:
-        raise StructuralError(f"unknown engine {engine!r}")
+    fn = _engine(engine)
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
-    return ENGINES[engine](spec, n)
+    return fn(spec, n, {})
 
 
 def table_terms(spec: RecurrenceSpec, n_max: int, engine: str) -> Iterator[MultiPoly]:
@@ -69,4 +80,5 @@ def table_terms(spec: RecurrenceSpec, n_max: int, engine: str) -> Iterator[Multi
         raise StructuralError(f"n_max must be >= 0, got {n_max}")
     if engine == "iterate":
         return iter_terms(spec, n_max)
-    return (compute_term(spec, n, engine) for n in range(n_max + 1))
+    fn, cache = _engine(engine), {}  # one cache for every row
+    return (fn(spec, n, cache) for n in range(n_max + 1))

@@ -264,19 +264,19 @@ def _quadext_identity(L, F, delta, n_range, m_range, sign: int,
     The element is L_n + sign * sqrt(delta) * F_{n-shift} (shift = 1 for the
     Dickson pairing with E_{n-1}); ``summed`` checks the conjugate-sum form
     2^m L_{nm} instead of 2^{m-1}(L_{nm} +/- sqrt(delta) F_{nm-shift}).
+    Conjugation is a ring automorphism, so the conjugate's power is
+    conj(base)^m = conj(base^m) and costs no product.
     """
     variables = delta.variables
     for n in n_range:
         base = QuadExtElem(L[n], sign * F[n - shift], delta)
-        conj = base.conjugate()
-        power = conj_power = None
+        power = None
         for m in m_range:
             # m_range is contiguous, so each power is the previous one times base.
             power = base**m if power is None else power * base
             lhs = power
             if summed:
-                conj_power = conj**m if conj_power is None else conj_power * conj
-                lhs = lhs + conj_power
+                lhs = lhs + power.conjugate()
                 rhs = QuadExtElem(2**m * L[n * m], MultiPoly.zero(variables), delta)
             else:
                 rhs = QuadExtElem(2 ** (m - 1) * L[n * m],

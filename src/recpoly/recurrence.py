@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import StructuralError
-from .ring import MultiPoly
+from .ring import MultiPoly, _addmul, _charged
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,15 @@ def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
     item, holding only the last k terms."""
     if n_max < 0:
         raise StructuralError(f"n_max must be >= 0, got {n_max}")
+    variables = spec.variables
+    coeffs = [(i, c.terms) for i, c in enumerate(spec.coeffs, start=1) if c.terms]
     window = deque(spec.initial, maxlen=spec.order)
     yield from spec.initial[: n_max + 1]
     for _ in range(spec.order, n_max + 1):
-        nxt = MultiPoly.zero(spec.variables)
-        for i, c in enumerate(spec.coeffs, start=1):
-            nxt = nxt + c * window[-i]
+        acc: dict[int, int] = {}
+        for i, c in coeffs:
+            _addmul(acc, variables, c, window[-i].terms)
+        nxt = _charged(variables, acc)
         window.append(nxt)
         yield nxt
 
@@ -108,25 +111,25 @@ def decompose_check(spec: RecurrenceSpec, n_max: int,
     if basis is None:
         basis = [basis_sequence(spec, j, n_max) for j in range(spec.order)]
     for n in range(n_max + 1):
-        rhs = MultiPoly.zero(spec.variables)
+        acc: dict[int, int] = {}
         for i in range(spec.order):
-            rhs = rhs + spec.initial[i] * basis[i][n]
+            _addmul(acc, spec.variables, spec.initial[i].terms, basis[i][n].terms)
+        rhs = _charged(spec.variables, acc)
         if terms[n] != rhs:
             return False, (n, terms[n], rhs)
     return True, None
 
 
-def _reduce(poly: list[MultiPoly], spec: RecurrenceSpec) -> list[MultiPoly]:
-    """Reduce a coefficient list (constant term first, overwritten) modulo
-    the characteristic polynomial, using X^k = sum_i c_i X^(k-i)."""
+def _reduce(poly: list[dict[int, int]], spec: RecurrenceSpec) -> list[dict[int, int]]:
+    """Reduce a list of term maps (constant term first, accumulated in
+    place) modulo the characteristic polynomial, using
+    X^k = sum_i c_i X^(k-i)."""
     k = spec.order
     for d in range(len(poly) - 1, k - 1, -1):
         top = poly[d]
-        if top.is_zero():
-            continue
-        for i, c in enumerate(spec.coeffs, start=1):
-            if not c.is_zero():
-                poly[d - i] = poly[d - i] + top * c
+        if top:
+            for i, c in enumerate(spec.coeffs, start=1):
+                _addmul(poly[d - i], spec.variables, top, c.terms)
     return poly[:k]
 
 
@@ -142,24 +145,23 @@ def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:
     k = spec.order
     if n < k:
         return spec.initial[n]
-    zero = MultiPoly.zero(spec.variables)
-    # The leading bit of n gives R = X mod chi (a reduction only when k = 1).
-    r = _reduce([zero, MultiPoly.const(spec.variables, 1)] + [zero] * (k - 1), spec)
+    variables = spec.variables
+    # R as term maps.  The leading bit of n gives R = X mod chi (a reduction
+    # only when k = 1).
+    r = _reduce([{}, {0: 1}] + [{} for _ in range(k - 1)], spec)
     for bit in bin(n)[3:]:
         # R^2 from the products r_i r_j with i <= j: cross terms count twice.
-        nonzero = [i for i in range(k) if not r[i].is_zero()]
-        sq = [zero] * (2 * k - 1)
+        nonzero = [i for i in range(k) if r[i]]
+        sq: list[dict[int, int]] = [{} for _ in range(2 * k - 1)]
         for a, i in enumerate(nonzero):
+            twice = {e: 2 * c for e, c in r[i].items()}
             for j in nonzero[a + 1:]:
-                sq[i + j] = sq[i + j] + r[i] * r[j]
-        sq = [p + p for p in sq]
-        for i in nonzero:
-            sq[2 * i] = sq[2 * i] + r[i] * r[i]
+                _addmul(sq[i + j], variables, twice, r[j])
+            _addmul(sq[2 * i], variables, r[i], r[i])
         if bit == "1":
-            sq = [zero] + sq
+            sq.insert(0, {})
         r = _reduce(sq, spec)
-    acc = zero
+    acc: dict[int, int] = {}
     for rj, pj in zip(r, spec.initial):
-        if not rj.is_zero() and not pj.is_zero():
-            acc = acc + rj * pj
-    return acc
+        _addmul(acc, variables, rj, pj.terms)
+    return _charged(variables, acc)

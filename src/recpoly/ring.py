@@ -5,8 +5,17 @@ to nonzero integer coefficients (canonical sparse form, so equality of term
 maps is semantic equality).  Values are immutable after construction, so
 they are safe to share across threads.  Operations are not quite pure:
 inside a :func:`term_budget` block, a sum or polynomial product with more
-terms than the limit raises :class:`BudgetExceededError`.  Only these two
-operations grow a term map, and every engine builds its terms from them.
+terms than the limit raises :class:`BudgetExceededError`.
+
+A sum of products is built in one dict by the fused kernel ``_addmul``,
+which adds the product of two term maps into an accumulator in place, with
+no intermediate product or sum.  ``MultiPoly.__mul__`` is ``_addmul`` into
+an empty dict, and the engines, the determinant expansion and
+:class:`QuadExtElem` products accumulate their sums the same way.  The
+budget rule: ``_addmul`` checks the accumulator's term count against the
+limit after each fused product, and ``MultiPoly.__add__`` checks each sum.
+These are the only operations that grow a term map, so every engine is
+bounded by them.
 
 Each monomial key is its exponent vector packed into one int (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -198,23 +207,9 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        # Without variables every key is 0 and no field can overflow.
-        if self.variables and a and b:
-            shift = len(self.variables) * _FIELD_BITS
-            degree = (max(a) >> shift) + (max(b) >> shift)
-            if degree > DEGREE_GUARD:
-                raise StructuralError(f"product of total degree {degree} exceeds guard {DEGREE_GUARD}")
         terms: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = ea + eb
-                new = terms.get(key, 0) + ca * cb
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
-        return _charged(self.variables, terms)
+        _addmul(terms, self.variables, self.terms, other.terms)
+        return _raw(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -359,10 +354,37 @@ def _raw(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
     return poly
 
 
+def _addmul(acc: dict[int, int], variables: tuple[str, ...],
+            a: Mapping[int, int], b: Mapping[int, int]) -> None:
+    """Add the product of the term maps ``a`` and ``b`` into ``acc`` in place.
+
+    Raises :class:`StructuralError` before touching ``acc`` if the product's
+    total degree would exceed DEGREE_GUARD.  Zero coefficients are swept out
+    once at the end, and then the term count of ``acc`` is checked against
+    the term budget.
+    """
+    if not (a and b):
+        return
+    # Without variables every key is 0 and no field can overflow.
+    if variables:
+        shift = len(variables) * _FIELD_BITS
+        degree = (max(a) >> shift) + (max(b) >> shift)
+        if degree > DEGREE_GUARD:
+            raise StructuralError(f"product of total degree {degree} exceeds guard {DEGREE_GUARD}")
+    get = acc.get
+    b_items = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in b_items:
+            key = ea + eb
+            acc[key] = get(key, 0) + ca * cb
+    if 0 in acc.values():
+        for key in [key for key, coeff in acc.items() if not coeff]:
+            del acc[key]
+    check_budget(len(acc), "term count")
+
+
 def _charged(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
-    limit = _TERM_BUDGET.get()
-    if limit is not None and len(terms) > limit:
-        raise BudgetExceededError(f"term count {len(terms)} exceeds budget {limit}")
+    check_budget(len(terms), "term count")
     return _raw(variables, terms)
 
 
@@ -406,9 +428,16 @@ class QuadExtElem:
         if isinstance(other, (int, MultiPoly)):
             return QuadExtElem(self.u * other, self.v * other, self.delta)
         self._check(other)
-        u = self.u * other.u + self.delta * self.v * other.v
-        v = self.u * other.v + other.u * self.v
-        return QuadExtElem(u, v, self.delta)
+        variables = self.delta.variables
+        u: dict[int, int] = {}
+        _addmul(u, variables, self.u.terms, other.u.terms)
+        vv: dict[int, int] = {}
+        _addmul(vv, variables, self.v.terms, other.v.terms)
+        _addmul(u, variables, self.delta.terms, vv)
+        v: dict[int, int] = {}
+        _addmul(v, variables, self.u.terms, other.v.terms)
+        _addmul(v, variables, other.u.terms, self.v.terms)
+        return QuadExtElem(_charged(variables, u), _charged(variables, v), self.delta)
 
     __rmul__ = __mul__
 

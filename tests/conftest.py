@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from recpoly import MultiPoly
+from recpoly import MultiPoly, closedform, engines, recurrence
 from recpoly.ring import DEGREE_GUARD
 
 VARS = ("x", "y", "z")
@@ -44,7 +44,9 @@ def integer_points(draw, variables: tuple[str, ...] = VARS, bound: int = 9):
 
 @pytest.fixture
 def ring_products(monkeypatch):
-    """A one-item list holding the number of MultiPoly.__mul__ calls so far."""
+    """A one-item list holding the number of ring products so far: the
+    MultiPoly.__mul__ calls plus the products the engines add into a sum
+    in place (``_addmul``)."""
     calls = [0]
     original = MultiPoly.__mul__
 
@@ -53,4 +55,12 @@ def ring_products(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    for module in (closedform, engines, recurrence):
+        fused = module._addmul
+
+        def counting_fused(*args, fused=fused):
+            calls[0] += 1
+            return fused(*args)
+
+        monkeypatch.setattr(module, "_addmul", counting_fused)
     return calls

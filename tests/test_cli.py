@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -365,6 +366,20 @@ class TestDetCommand:
                              "--budget", "2")
         assert code == 3 and out == ""
         assert err == "error: term count 3 exceeds budget 2\n"
+
+    def test_budget_stops_before_any_dense_matrix(self, capsys):
+        # The symbolic determinant expands over the band: a 3000 x 3000
+        # matrix (72 MB of entry references) is never built.
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "det", "--family", "fibonacci2", "--size", "3000",
+                                 "--budget", "10")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == "error: term count 11 exceeds budget 10\n"
+        assert peak < 2**20, peak
 
     def test_point_budget_refuses_the_dense_matrix(self, capsys):
         # The Bareiss oracle builds the literal N x N matrix: 9,000,000

@@ -22,7 +22,10 @@ from recpoly import (
     term_budget,
     weighted_compositions,
 )
+from recpoly import closedform
 from recpoly.closedform import hessenberg_det, hessenberg_matrix, multinomial
+from recpoly.engines import compute_term, table_terms
+from recpoly.specfile import family_spec
 from support import random_delta_spec
 
 
@@ -183,6 +186,28 @@ class TestHessenbergEngine:
         assert ring_products[0] <= 3 * k * n
         fibonacci = RecurrenceSpec.make((), [one, one], [MultiPoly.zero(()), one])
         assert value == iterate_terms(fibonacci, n + 1)[n + 1]
+
+    def test_symbolic_det_reads_the_band_without_a_matrix(self, monkeypatch):
+        def refuse(coeffs, n):
+            raise AssertionError("the symbolic determinant built the dense matrix")
+
+        monkeypatch.setattr(closedform, "hessenberg_matrix", refuse)
+        spec = generalized_lucas_spec(3)
+        assert hessenberg_det_symbolic(spec.coeffs, 12) == iterate_terms(spec, 14)[14]
+
+    def test_one_expansion_serves_a_general_window(self, ring_products):
+        # lucas2 has N = (2, -x): b(n) and b(n-1) come from one expansion,
+        # about 5 products per column at k = 2, not two expansions.
+        spec, n = family_spec("lucas2"), 200
+        value = compute_term(spec, n, "determinant")
+        assert ring_products[0] <= 3 * spec.order * n
+        assert value == iterate_terms(spec, n)[n]
+
+    def test_one_expansion_serves_a_whole_table(self, ring_products):
+        spec, n_max = family_spec("fibonacci2"), 150
+        rows = list(table_terms(spec, n_max, "determinant"))
+        assert ring_products[0] <= 10 * n_max
+        assert rows == iterate_terms(spec, n_max)
 
 
 class TestBareiss:

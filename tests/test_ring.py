@@ -12,12 +12,15 @@ from recpoly import (
     BudgetExceededError,
     MultiPoly,
     QuadExtElem,
+    RecurrenceSpec,
     StructuralError,
     VariableMismatchError,
+    iterate_terms,
     parse_poly,
     term_budget,
 )
-from recpoly.ring import DEGREE_GUARD, _power
+from recpoly.closedform import hessenberg_det
+from recpoly.ring import DEGREE_GUARD, _addmul, _power
 
 
 def table_eval(terms, variables, point):
@@ -417,3 +420,67 @@ class TestPackedKernelAgainstReference:
         scale = ref_eval({e: abs(c) for e, c in terms.items()}, variables,
                          {v: abs(value) for v, value in point.items()})
         assert abs(poly.eval_complex(point) - exact) <= 1e-9 * max(1, scale)
+
+
+SMALL_VARIABLE_LISTS = st.sampled_from([(), ("x",), ("x", "y"), ("x", "y", "z")])
+
+
+class TestFusedProducts:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_addmul_is_the_sum_of_products(self, data):
+        # Small exponents and coefficients make products collide and cancel;
+        # the pair (-a, b) after (a, b) cancels a whole product.
+        variables = data.draw(SMALL_VARIABLE_LISTS)
+        maps = term_maps(variables, max_terms=4, max_exp=2, coeff_bound=3).map(ref_normalize)
+        start = data.draw(maps)
+        pairs = data.draw(st.lists(st.tuples(maps, maps), min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            a, b = pairs[0]
+            pairs.append(({e: -c for e, c in a.items()}, b))
+        acc = dict(MultiPoly(variables, start).terms)
+        expected, reference = MultiPoly(variables, start), start
+        for a, b in pairs:
+            pa, pb = MultiPoly(variables, a), MultiPoly(variables, b)
+            _addmul(acc, variables, pa.terms, pb.terms)
+            assert 0 not in acc.values()
+            expected = expected + pa * pb
+            reference = ref_add(reference, ref_mul(a, b))
+        assert acc == expected.terms == MultiPoly(variables, reference).terms
+
+    def test_degree_guard_trips_before_acc_changes(self):
+        x = MultiPoly.var("x", X)
+        top = x**DEGREE_GUARD
+        acc = dict((x + 1).terms)
+        with pytest.raises(StructuralError):
+            _addmul(acc, X, top.terms, x.terms)
+        assert acc == (x + 1).terms
+
+    def test_degree_guard_trips_in_fused_engines(self):
+        x = MultiPoly.var("x", X)
+        half = x ** (DEGREE_GUARD // 2 + 1)
+        spec = RecurrenceSpec.make(X, [half, MultiPoly.const(X, 1)], [MultiPoly.const(X, 1), half])
+        with pytest.raises(StructuralError):
+            iterate_terms(spec, 2)
+        with pytest.raises(StructuralError):
+            QuadExtElem(half, x, x) * QuadExtElem(half, x, x)
+
+    def test_budget_bounds_the_accumulated_sum(self):
+        # Every product below has one term; only the accumulated sums have
+        # two, so each raise comes from the fused accumulation.
+        v = ("x", "y", "z")
+        x, y, z = (MultiPoly.var(name, v) for name in v)
+        one = MultiPoly.const(v, 1)
+        spec = RecurrenceSpec.make(v, [x, y], [one, one])
+        matrix = [[x, y], [-one, z]]
+        with term_budget(1):
+            with pytest.raises(BudgetExceededError, match="^term count 2 exceeds budget 1$"):
+                iterate_terms(spec, 2)
+            with pytest.raises(BudgetExceededError, match="^term count 2 exceeds budget 1$"):
+                hessenberg_det(matrix)
+            with pytest.raises(BudgetExceededError, match="^term count 2 exceeds budget 1$"):
+                QuadExtElem(x, one, z) * QuadExtElem(y, one, z)
+        with term_budget(2):
+            assert iterate_terms(spec, 2)[2] == x + y
+            assert hessenberg_det(matrix) == x * z + y
+            assert QuadExtElem(x, one, z) * QuadExtElem(y, one, z) == QuadExtElem(x * y + z, x + y, z)
