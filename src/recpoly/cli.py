@@ -167,6 +167,10 @@ def _identity_family(args) -> Optional[Order2Family]:
 
 
 def _cmd_identity(args) -> int:
+    for flag, value in (("--n-max", args.n_max), ("--p-max", args.p_max),
+                        ("--m-max", args.m_max)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     family = _identity_family(args)
     if args.ids.strip() == "all":
         ids = list(IDENTITY_IDS)
@@ -321,7 +325,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        with term_budget(getattr(args, "budget", None)):
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 1:
+            raise UsageError(f"--budget must be >= 1, got {budget}")
+        with term_budget(budget):
             return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,6 +63,14 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
                      power_cache: Optional[dict] = None) -> MultiPoly:
     """P^(k-1)_{n+k-1} as the multinomial sum over weighted compositions.
 
+    The compositions are walked as a tree: the counts i_k, ..., i_3 fix an
+    outer node, which carries the prefix product prod_{j>=3} c_j^(i_j) and
+    leaves n_1 = i_1 + 2 i_2 to the inner sum over i_2.  The inner sum
+    steps its multinomial coefficient exactly from one i_2 to the next and
+    collects sum M c_2^(i_2) c_1^(i_1) in one node map, one fused product
+    per composition; the node map then takes one fused product with the
+    prefix into the total.
+
     ``power_cache`` may be shared across calls with the same coefficient
     list to reuse coefficient powers.
     """
@@ -73,22 +81,61 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
     if power_cache is None:
         power_cache = {}
 
-    def power(i: int, e: int) -> MultiPoly:
-        # power_cache[i][e] is coeffs[i]**e, grown one exponent at a time.
-        powers = power_cache.setdefault(i, [MultiPoly.const(variables, 1)])
-        while len(powers) <= e:
-            powers.append(powers[-1] * coeffs[i])
-        return powers[e]
+    def powers(i: int, e: int) -> list[dict[int, int]]:
+        # power_cache[i][e] is the term map of coeffs[i]**e, grown one
+        # exponent at a time up to at least e.
+        row = power_cache.setdefault(i, [{0: 1}])
+        while len(row) <= e:
+            nxt: dict[int, int] = {}
+            _addmul(nxt, variables, row[-1], coeffs[i].terms)
+            row.append(nxt)
+        return row
 
-    one = MultiPoly.const(variables, 1)
+    if k == 1:
+        return _charged(variables, dict(powers(0, n)[n]))
     total: dict[int, int] = {}
-    for counts in weighted_compositions(k, n):
-        factors = [power(i, c) for i, c in enumerate(counts) if c] or [one]
-        term = MultiPoly.const(variables, multinomial(counts))
-        for factor in factors[:-1]:
-            term = term * factor
-        # The last product of each term is added into the sum in place.
-        _addmul(total, variables, term.terms, factors[-1].terms)
+    # An outer node (j, n1, prefix, factor, rest) has fixed the counts
+    # rest = (i_(j+2), ..., i_k), whose product is prefix * factor (None
+    # stands for 1), and leaves n1 to the coefficients of weight j + 1 and
+    # less.  The product is formed when the node is taken, so the stack
+    # holds only shared powers and prefixes.  An explicit stack, not a
+    # recursive closure: that would hold the powers in a reference cycle
+    # until the next garbage collection, and overflow the recursion limit
+    # at large k.
+    nodes = [(k - 1, n, None, None, ())]
+    while nodes:
+        j, n1, prefix, factor, rest = nodes.pop()
+        if factor is not None:
+            if prefix is None:
+                prefix = factor
+            else:
+                product: dict[int, int] = {}
+                _addmul(product, variables, prefix, factor)
+                prefix = product
+        if j > 1:
+            top = n1 // (j + 1)
+            row = powers(j, top)
+            for count in range(top + 1):
+                if count and not row[count]:
+                    break  # c_(j+1) is zero, and so is every larger power
+                nodes.append((j - 1, n1 - (j + 1) * count, prefix,
+                              row[count] if count else None, (count, *rest)))
+            continue
+        # The node with the prefix None sums into the total directly.
+        node = total if prefix is None else {}
+        i1, s = n1, n1 + sum(rest)
+        coeff = multinomial((n1, 0, *rest))
+        p1, p2 = powers(0, n1), powers(1, n1 // 2)
+        for i2 in range(n1 // 2 + 1):
+            if i2:
+                # (i1, i2 - 1) -> (i1 - 2, i2): the count total s drops by one.
+                coeff = coeff * i1 * (i1 - 1) // (s * i2)
+                i1 -= 2
+                s -= 1
+            scaled = {key: c * coeff for key, c in p2[i2].items()}
+            _addmul(node, variables, scaled, p1[i1])
+        if prefix is not None:
+            _addmul(total, variables, prefix, node)
     return _charged(variables, total)
 
 
@@ -209,10 +256,16 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
             else:
                 return 0
         pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (pivot * m[r][c] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
+        pivot_tail = m[col][col + 1:]
+        # Each row below is rewritten from column col + 1 on; column col is
+        # never read again.  A row with a zero lead entry is only scaled.
+        for row in m[col + 1:]:
+            lead = row[col]
+            if lead:
+                row[col + 1:] = [(pivot * x - lead * y) // prev
+                                 for x, y in zip(row[col + 1:], pivot_tail)]
+            else:
+                row[col + 1:] = [pivot * x // prev if x else 0 for x in row[col + 1:]]
         prev = pivot
     return sign * m[n - 1][n - 1]
 

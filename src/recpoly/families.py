@@ -288,6 +288,8 @@ def _quadext_identity(L, F, delta, n_range, m_range, sign: int,
 
 def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
                    seed: int) -> Iterator[Mismatch]:
+    # The comparison is in floating point, so a point where a coefficient or
+    # an exact F_n or L_n is past the float range stops the check.
     rng = random.Random(seed)
     F = family.fib_list(n_max + 1)
     L = family.lucas_list(n_max + 1)
@@ -295,31 +297,35 @@ def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
         point = {v: rng.randint(-5, 5) for v in family.variables}
         c1 = family.q1.eval_int(point)
         c2 = family.q2.eval_int(point)
-        profile = char_roots([complex(c1), complex(c2)])
-        if profile.all_simple():
-            alpha, beta = profile.roots
+        try:
+            profile = char_roots([complex(c1), complex(c2)])
+            if profile.all_simple():
+                alpha, beta = profile.roots
 
-            def fib_num(n, alpha=alpha, beta=beta):
-                return (alpha**n - beta**n) / (alpha - beta)
-        else:
-            # Degenerate discriminant: route through the multiple-root engine.
-            def fib_num(n, profile=profile):
-                if n == 0:
-                    return 0j
-                return binet_multiple(profile, n - 1)
+                def fib_num(n, alpha=alpha, beta=beta):
+                    return (alpha**n - beta**n) / (alpha - beta)
+            else:
+                # Degenerate discriminant: route through the multiple-root engine.
+                def fib_num(n, profile=profile):
+                    if n == 0:
+                        return 0j
+                    return binet_multiple(profile, n - 1)
 
-        def lucas_num(n):
-            return 2 * fib_num(n + 1) - c1 * fib_num(n)
+            def lucas_num(n):
+                return 2 * fib_num(n + 1) - c1 * fib_num(n)
 
-        for n in range(n_max + 1):
-            for label, exact_poly, numeric in (
-                ("F", F[n], fib_num(n)),
-                ("L", L[n], lucas_num(n)),
-            ):
-                exact = exact_poly.eval_int(point)
-                if abs(numeric - exact) > NUMERIC_REL_TOL * max(1, abs(exact)):
-                    yield ({"case": case, "point": point, "n": n, "sequence": label},
-                           f"{numeric!r}", f"{exact}")
+            for n in range(n_max + 1):
+                for label, exact_poly, numeric in (
+                    ("F", F[n], fib_num(n)),
+                    ("L", L[n], lucas_num(n)),
+                ):
+                    exact = exact_poly.eval_int(point)
+                    if abs(numeric - exact) > NUMERIC_REL_TOL * max(1, abs(exact)):
+                        yield ({"case": case, "point": point, "n": n, "sequence": label},
+                               f"{numeric!r}", f"{exact}")
+        except OverflowError:
+            raise StructuralError(f"thm-4.21-12: a value at {point} is past the float range, "
+                                  "where the numeric Binet check cannot compare it") from None
 
 
 def _check_lem_4_4(family: Order2Family, n_max: int, p_max: int, m_max: int,

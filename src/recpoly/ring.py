@@ -80,9 +80,14 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 def _pack(exps: tuple[int, ...]) -> int:
-    key = sum(exps)
-    for e in exps:
-        key = (key << _FIELD_BITS) | e
+    # The total degree is shifted into place once and only the nonzero
+    # exponents are ORed in, so a sparse vector costs O(nonzeros) big-int
+    # operations rather than one shift per variable.
+    last = len(exps) - 1
+    key = sum(exps) << ((last + 1) * _FIELD_BITS)
+    for i, e in enumerate(exps):
+        if e:
+            key |= e << ((last - i) * _FIELD_BITS)
     return key
 
 

@@ -105,9 +105,11 @@ def spec_from_mapping(doc: Mapping) -> RecurrenceSpec:
 def load_spec(path: str | Path) -> RecurrenceSpec:
     """Load and fully validate a JSON spec document."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecFormatError(f"document: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"document: not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -115,6 +115,16 @@ class TestSpecDocuments:
         with pytest.raises(SpecFormatError):
             load_spec(bad)
 
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        # A UTF-16 file starts with the byte-order mark ff fe.
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(CUSTOM_DOC).encode("utf-16-le"))
+        with pytest.raises(SpecFormatError, match="^document: not UTF-8"):
+            load_spec(path)
+        code, out, err = run(capsys, "term", "--spec", str(path), "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: document: not UTF-8") and err.count("\n") == 1
+
 
 class TestComputeTerm:
     def test_engines_agree_including_index_shift(self, tmp_path):
@@ -312,6 +322,12 @@ class TestTermCommand:
                          "--no-such-flag")
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "term", "--family", "fibonacci2", "--n", "5",
+                             "--budget", budget)
+        assert (code, out, err) == (2, "", f"error: --budget must be >= 1, got {budget}\n")
+
 
 class TestTableCommand:
     def test_table_lines(self, capsys):
@@ -465,6 +481,20 @@ class TestIdentityCommand:
     def test_unknown_id_is_usage_error(self, capsys):
         code, _, err = run(capsys, "identity", "--ids", "thm-0.0")
         assert code == 2 and "unknown identity ids" in err
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--p-max", "--m-max"])
+    def test_negative_range_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "identity", "--ids", "thm-4.9,thm-4.21-3", flag, "-3")
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -3\n")
+
+    def test_exact_value_past_float_range(self, capsys):
+        # F_n(x^400, y) at a point with |x| = 5 is past the float range from
+        # n = 3 on, so the numeric Binet value cannot be compared with it.
+        code, out, err = run(capsys, "identity", "--ids", "thm-4.21-12", "--q1", "x^400",
+                             "--q2", "y", "--vars", "x,y")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: thm-4.21-12: ") and err.count("\n") == 1
+        assert "float range" in err
 
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "identity", "--ids", "thm-4.7,thm-4.11",

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,28 @@ def hessenberg_matrices(draw):
     zero = MultiPoly.zero(variables)
     entry = st.one_of(st.just(zero), multipolys(variables, max_terms=2, max_exp=1, coeff_bound=5))
     return [[draw(entry) if j >= i - 1 else zero for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def coefficient_lists(draw):
+    """k = 1..4 coefficients over (x, y): zero, negative and multi-term."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    zero = MultiPoly.zero(VARS[:2])
+    entry = st.just(zero) | multipolys(VARS[:2], max_terms=3, max_exp=2, coeff_bound=5)
+    return [draw(entry) for _ in range(k)]
+
+
+def leibniz_det(rows):
+    """Reference: the sum over all permutations, the sign by inversions."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        product = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            product *= rows[i][j]
+        total += product
+    return total
 
 
 def coeff_vars(k):
@@ -127,6 +151,26 @@ class TestMultinomialEngine:
             cache = {}
             for n in range(8):
                 assert multinomial_term(spec.coeffs, n, cache) == terms[n + spec.order - 1]
+
+
+    def test_order_past_the_recursion_limit(self):
+        # The walk keeps its own stack of outer nodes, one level per coefficient.
+        k = sys.getrecursionlimit() + 10
+        spec = generalized_lucas_spec(k)
+        assert multinomial_term(spec.coeffs, 3) == iterate_terms(spec, k + 2)[k + 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(coefficient_lists(), st.data())
+    def test_walk_matches_iteration(self, coeffs, data):
+        # One power cache serves every m, asked for in any order.
+        k = len(coeffs)
+        variables = coeffs[0].variables
+        initial = [MultiPoly.const(variables, 1 if j == k - 1 else 0) for j in range(k)]
+        m_max = data.draw(st.integers(min_value=0, max_value=14))
+        terms = iterate_terms(RecurrenceSpec.make(variables, coeffs, initial), m_max + k - 1)
+        cache = {}
+        for m in data.draw(st.permutations(range(m_max + 1))):
+            assert multinomial_term(coeffs, m, cache) == terms[m + k - 1], m
 
 
 class TestHessenbergEngine:
@@ -225,6 +269,15 @@ class TestBareiss:
     def test_non_square_rejected(self):
         with pytest.raises(StructuralError):
             bareiss_det([[1, 2, 3], [4, 5, 6]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.lists(st.just(0) | st.just(0) | st.integers(-9, 9)
+                                    | st.integers(-10**12, 10**12), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_matches_leibniz_expansion(self, rows):
+        # Mostly-zero entries: zero pivots, row swaps and singular matrices.
+        assert bareiss_det(rows) == leibniz_det(rows)
 
     def test_multiplicativity_spot_check(self):
         rng = random.Random(21)
