@@ -213,6 +213,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     spec = _resolve_spec(args)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     if not engines:
@@ -224,7 +226,7 @@ def _cmd_bench(args) -> int:
     timings = {}
     for engine in engines:
         samples = []
-        for _ in range(max(1, args.reps)):
+        for _ in range(args.reps):
             start = time.perf_counter_ns()
             value = compute_term(spec, args.n, engine)
             samples.append(time.perf_counter_ns() - start)

@@ -16,14 +16,21 @@ def _closed_form(spec: RecurrenceSpec, n: int, b: Callable[[int], MultiPoly]) ->
     Generating-function numerator (Lemma 4.4): P_n = sum_j N_j b(n-j) with
     N_j = P_j - sum_{i<=j} c_i P_{j-i}, which decomposes any initial window
     over the delta-initial sequence.  Zero N_j are skipped, so delta
-    initials, where N = (0, ..., 0, 1), cost the one call b(n-k+1).
+    initials, where N = (0, ..., 0, 1), cost the one call b(n-k+1).  Pairs
+    with a zero P_{j-i} are skipped too, and each -c_i is made once, on
+    first use.
     """
     variables = spec.variables
+    negated: dict[int, dict[int, int]] = {}
     total: dict[int, int] = {}
     for j in range(min(spec.order - 1, n) + 1):
         nj = dict(spec.initial[j].terms)
         for i in range(1, j + 1):
-            _addmul(nj, variables, (-spec.coeffs[i - 1]).terms, spec.initial[j - i].terms)
+            window = spec.initial[j - i].terms
+            if window:
+                if i not in negated:
+                    negated[i] = (-spec.coeffs[i - 1]).terms
+                _addmul(nj, variables, negated[i], window)
         if nj:
             _addmul(total, variables, nj, b(n - j).terms)
     return _charged(variables, total)

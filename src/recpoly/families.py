@@ -22,7 +22,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binet import binet_multiple, char_roots
 from .closedform import (
@@ -139,11 +139,6 @@ def _dickson_vars() -> tuple[Order2Family, MultiPoly, MultiPoly]:
     return fam, fam.q1, -fam.q2
 
 
-def _dickson_lists(n_max: int) -> tuple[list[MultiPoly], list[MultiPoly]]:
-    fam = dickson_family()
-    return iterate_terms(fam.lucas_spec(), n_max), iterate_terms(fam._spec(1, fam.q1), n_max)
-
-
 def dickson_D(n: int) -> MultiPoly:
     """Dickson polynomial of the first kind, recurrence and explicit sum agreeing."""
     fam = dickson_family()
@@ -254,45 +249,142 @@ class IdentityReport:
         return self.status == "pass"
 
 
-Mismatch = tuple[dict, MultiPoly | str, MultiPoly | str]
+# (params, lhs, rhs): one comparison of an identity; its sides are
+# polynomials, quadratic-extension elements or labels.
+Case = tuple[dict, object, object]
 
 
-def _quadext_identity(L, F, delta, n_range, m_range, sign: int,
-                      shift: int, summed: bool) -> Iterator[Mismatch]:
+class _Store:
+    """The sequences one check reads, by name: F and L of the checked
+    family; D, E and dickson_F (the Dickson family's F) of the Dickson
+    family.  Each is built once, from index 0, by one ``iterate_terms`` call
+    to the top index the entry names; a store serves one check and is then
+    dropped, so nothing is memoized across checks.  A top below 0 (E at
+    n_max = 0, where no case reads it) builds the one term P_0.
+    """
+
+    def __init__(self, fam: Order2Family, tops: dict[str, int]):
+        self.fam, self.q1, self.q2 = fam, fam.q1, fam.q2
+        self.dickson, self.x, self.a = _dickson_vars()
+        specs = {"F": fam.fib_spec, "L": fam.lucas_spec, "D": self.dickson.lucas_spec,
+                 "E": lambda: self.dickson._spec(1, self.x),
+                 "dickson_F": self.dickson.fib_spec}
+        for name, top in tops.items():
+            setattr(self, name, iterate_terms(specs[name](), max(top, 0)))
+
+
+class _Entry:
+    """One catalog identity as data, callable as its checker.
+
+    ``tops(N, P, M)`` maps each sequence the identity reads to the top index
+    it reads, for (N, P, M) = (n_max, p_max, m_max).  ``cases(store, N, P,
+    M)`` yields its cases in check order.  A call builds one store and
+    yields every case whose sides differ; the witness text is formatted
+    later, from the first one only.  (A plain class: a dataclass would add
+    about a millisecond to every CLI start.)
+    """
+
+    __slots__ = ("tops", "cases")
+
+    def __init__(self, tops: Callable[[int, int, int], dict[str, int]],
+                 cases: Callable[[_Store, int, int, int], Iterable[Case]]):
+        self.tops, self.cases = tops, cases
+
+    def __call__(self, family: Order2Family, n_max: int, p_max: int, m_max: int,
+                 seed: int) -> Iterator[Case]:
+        store = _Store(family, self.tops(n_max, p_max, m_max))
+        for params, lhs, rhs in self.cases(store, n_max, p_max, m_max):
+            if lhs != rhs:
+                yield params, lhs, rhs
+
+
+def _each_n(lo: int, sides: Callable[[_Store, int], tuple]) -> Callable:
+    """Cases n = lo..N, with (lhs, rhs) = sides(store, n)."""
+    return lambda s, N, P, M: (({"n": n}, *sides(s, n)) for n in range(lo, N + 1))
+
+
+def _quadext_cases(s: _Store, N: int, M: int, dickson: bool, sign: int,
+                   summed: bool) -> Iterator[Case]:
     """Power identities in the quadratic extension.
 
-    The element is L_n + sign * sqrt(delta) * F_{n-shift} (shift = 1 for the
-    Dickson pairing with E_{n-1}); ``summed`` checks the conjugate-sum form
-    2^m L_{nm} instead of 2^{m-1}(L_{nm} +/- sqrt(delta) F_{nm-shift}).
-    Conjugation is a ring automorphism, so the conjugate's power is
-    conj(base)^m = conj(base^m) and costs no product.
+    The element is L_n + sign * sqrt(delta) * F_n, with m-th power
+    2^{m-1}(L_{nm} + sign * sqrt(delta) * F_{nm}) for m >= 1; on the Dickson
+    family it is D_n + sign * sqrt(delta) * E_{n-1} for n >= 1, and E_{nm-1}
+    replaces F_{nm}.  ``summed`` checks the conjugate sum, 2^m L_{nm} (or
+    2^m D_{nm}) for m >= 0, instead.  Conjugation is a ring automorphism,
+    so the conjugate's power is conj(base)^m = conj(base^m) and costs no
+    product.
     """
-    variables = delta.variables
-    for n in n_range:
+    shift = int(dickson)
+    L, F, delta = (s.D, s.E, s.dickson.delta()) if dickson else (s.L, s.F, s.fam.delta())
+    zero = MultiPoly.zero(delta.variables)
+    for n in range(shift, N + 1):
         base = QuadExtElem(L[n], sign * F[n - shift], delta)
         power = None
-        for m in m_range:
-            # m_range is contiguous, so each power is the previous one times base.
+        for m in range(0 if summed else 1, M + 1):
+            # m runs contiguously, so each power is the previous one times base.
             power = base**m if power is None else power * base
-            lhs = power
             if summed:
-                lhs = lhs + power.conjugate()
-                rhs = QuadExtElem(2**m * L[n * m], MultiPoly.zero(variables), delta)
+                rhs = QuadExtElem(2**m * L[n * m], zero, delta)
+                yield {"n": n, "m": m}, power + power.conjugate(), rhs
             else:
                 rhs = QuadExtElem(2 ** (m - 1) * L[n * m],
                                   sign * 2 ** (m - 1) * F[n * m - shift], delta)
-            if lhs != rhs:
-                yield ({"n": n, "m": m},
-                       f"u={lhs.u}; v={lhs.v}", f"u={rhs.u}; v={rhs.v}")
+                yield {"n": n, "m": m}, power, rhs
+
+
+def _power(dickson: bool, sign: int, summed: bool) -> _Entry:
+    """thm-4.21-3/4/5 (L and F) or thm-5.6-1/2/3 (D and E)."""
+    L, F = ("D", "E") if dickson else ("L", "F")
+    return _Entry(
+        lambda N, P, M: {L: N * max(M, 1), F: (N if summed else N * max(M, 1)) - dickson},
+        lambda s, N, P, M: _quadext_cases(s, N, M, dickson, sign, summed))
+
+
+def _cases_4_9(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    for n in range(1, N + 1):
+        for p in (*range(P + 1), "n"):  # then the stated specialization p = n
+            q = n if p == "n" else p
+            yield ({"n": n, "p": p}, s.L[n + q],
+                   s.q2 * s.L[q] * s.F[n - 1] + s.L[q + 1] * s.F[n])
+
+
+def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    for n in range(1, N + 1):
+        yield {"n": n}, s.E[n], dickson_E_det(n)
+        flip = "symmetric" if dickson_E_det_signflip_check(n) else "asymmetric"
+        yield {"n": n, "part": "sign-flip"}, flip, "symmetric"
+
+
+def _cases_5_5(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    for n in range(N + 1):
+        if n >= 1:
+            yield {"n": n, "kind": "D"}, s.D[n], s.dickson.lucas_explicit(n)
+        yield {"n": n, "kind": "E"}, s.E[n], s.dickson.fib_explicit(n + 1)
+
+
+def _d2(shift: int) -> _Entry:
+    """thm-5.7-d2: the corrected form leads with E_n^2 (shift 0); the
+    published form prints E_{n+1}^2 (shift 1)."""
+    return _Entry(lambda N, P, M: {"D": 2 * N, "E": N + shift}, _each_n(2, lambda s, n: (
+        s.D[2 * n], s.E[n + shift] ** 2 - 2 * s.a * s.E[n - 1] ** 2 + s.a**2 * s.E[n - 2] ** 2)))
+
+
+def _thm_2_6(sign: str) -> _Entry:
+    """thm-2.6-sign: the generalized Lucas closed form with the derived or
+    the printed sign, for k = 2..4 and n <= min(n_max, 15)."""
+    return _Entry(lambda N, P, M: {}, lambda s, N, P, M: (
+        ({"k": k, "n": n}, generalized_lucas(k, n), generalized_lucas_closed_form(k, n, sign=sign))
+        for k in (2, 3, 4) for n in range(min(N, 15) + 1)))
 
 
 def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
-                   seed: int) -> Iterator[Mismatch]:
+                   seed: int) -> Iterator[Case]:
     # The comparison is in floating point, so a point where a coefficient or
     # an exact F_n or L_n is past the float range stops the check.
     rng = random.Random(seed)
-    F = family.fib_list(n_max + 1)
-    L = family.lucas_list(n_max + 1)
+    F = family.fib_list(n_max)
+    L = family.lucas_list(n_max)
     for case in range(5):
         point = {v: rng.randint(-5, 5) for v in family.variables}
         c1 = family.q1.eval_int(point)
@@ -329,7 +421,7 @@ def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
 
 
 def _check_lem_4_4(family: Order2Family, n_max: int, p_max: int, m_max: int,
-                   seed: int) -> Iterator[Mismatch]:
+                   seed: int) -> Iterator[Case]:
     rng = random.Random(seed)
     F = family.fib_list(n_max)
     for case in range(3):
@@ -350,247 +442,54 @@ def _random_poly(rng: random.Random, variables: tuple[str, ...]) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
-def _catalog() -> dict[str, Callable]:
-    """Identity id -> checker(family, n_max, p_max, m_max, seed) -> mismatches."""
-
-    catalog: dict[str, Callable] = {}
-
-    catalog["lem-4.4"] = _check_lem_4_4
-
-    def thm_4_5(fam, n_max, p_max, m_max, seed):
-        F, L = fam.fib_list(n_max), fam.lucas_list(n_max)
-        for n in range(1, n_max + 1):
-            lhs, rhs = L[n], 2 * fam.q2 * F[n - 1] + fam.q1 * F[n]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.5"] = thm_4_5
-
-    def thm_4_7(fam, n_max, p_max, m_max, seed):
-        F, L = fam.fib_list(n_max), fam.lucas_list(n_max + 1)
-        for n in range(n_max + 1):
-            lhs = 2 * L[n + 1] - fam.q1 * L[n]
-            rhs = fam.delta() * F[n]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.7"] = thm_4_7
-
-    def thm_4_9(fam, n_max, p_max, m_max, seed):
-        F = fam.fib_list(n_max)
-        L = fam.lucas_list(n_max + max(p_max, n_max) + 1)
-        for n in range(1, n_max + 1):
-            for p in range(p_max + 1):
-                lhs = L[n + p]
-                rhs = fam.q2 * L[p] * F[n - 1] + L[p + 1] * F[n]
-                if lhs != rhs:
-                    yield ({"n": n, "p": p}, lhs, rhs)
-            # The stated specialization p = n.
-            lhs = L[2 * n]
-            rhs = fam.q2 * L[n] * F[n - 1] + L[n + 1] * F[n]
-            if lhs != rhs:
-                yield ({"n": n, "p": "n"}, lhs, rhs)
-
-    catalog["thm-4.9"] = thm_4_9
-
-    def thm_4_11(fam, n_max, p_max, m_max, seed):
-        F = fam.fib_list(n_max + 1)
-        L = fam.lucas_list(2 * n_max)
-        for n in range(1, n_max + 1):
-            lhs = L[2 * n]
-            rhs = F[n + 1] ** 2 + 2 * fam.q2 * F[n] ** 2 + fam.q2 ** 2 * F[n - 1] ** 2
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.11"] = thm_4_11
-
-    def thm_4_13(fam, n_max, p_max, m_max, seed):
-        F = fam.fib_list(n_max + 1)
-        for n in range(n_max + 1):
-            lhs = F[n + 1]
-            rhs = hessenberg_det_symbolic([fam.q1, fam.q2], n)
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.13"] = thm_4_13
-
-    def thm_4_15(fam, n_max, p_max, m_max, seed):
-        F = fam.fib_list(n_max + 1)
-        L = fam.lucas_list(n_max)
-        for n in range(n_max + 1):
-            lhs, rhs = L[n], 2 * F[n + 1] - fam.q1 * F[n]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.15"] = thm_4_15
-
-    def thm_4_17(fam, n_max, p_max, m_max, seed):
-        F = fam.fib_list(n_max + 1)
-        for n in range(n_max + 1):
-            lhs, rhs = F[n + 1], fam.fib_explicit(n + 1)
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.17"] = thm_4_17
-
-    def thm_4_19(fam, n_max, p_max, m_max, seed):
-        L = fam.lucas_list(n_max)
-        for n in range(1, n_max + 1):
-            lhs, rhs = L[n], fam.lucas_explicit(n)
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-4.19"] = thm_4_19
-
-    catalog["thm-4.21-12"] = _check_4_21_12
-
-    def make_4_21(sign: int, summed: bool):
-        def checker(fam, n_max, p_max, m_max, seed):
-            top = n_max * m_max + 1
-            F, L = fam.fib_list(top), fam.lucas_list(top)
-            m_lo = 0 if summed else 1
-            yield from _quadext_identity(L, F, fam.delta(),
-                                         range(n_max + 1), range(m_lo, m_max + 1),
-                                         sign, 0, summed)
-        return checker
-
-    catalog["thm-4.21-3"] = make_4_21(+1, False)
-    catalog["thm-4.21-4"] = make_4_21(-1, False)
-    catalog["thm-4.21-5"] = make_4_21(+1, True)
-
-    def thm_5_1(fam, n_max, p_max, m_max, seed):
-        D, E = _dickson_lists(n_max + 1)
-        F = dickson_family().fib_list(n_max + 1)
-        for n in range(n_max + 1):
-            if E[n] != F[n + 1]:
-                yield ({"n": n}, E[n], F[n + 1])
-
-    catalog["thm-5.1"] = thm_5_1
-
-    def thm_5_2(fam, n_max, p_max, m_max, seed):
-        _, E = _dickson_lists(n_max)
-        for n in range(1, n_max + 1):
-            det = dickson_E_det(n)
-            if E[n] != det:
-                yield ({"n": n}, E[n], det)
-            if not dickson_E_det_signflip_check(n):
-                yield ({"n": n, "part": "sign-flip"}, "asymmetric", "symmetric")
-
-    catalog["thm-5.2"] = thm_5_2
-
-    def thm_5_5(fam, n_max, p_max, m_max, seed):
-        dickson = dickson_family()
-        D, E = _dickson_lists(n_max)
-        for n in range(n_max + 1):
-            if n >= 1 and D[n] != dickson.lucas_explicit(n):
-                yield ({"n": n, "kind": "D"}, D[n], dickson.lucas_explicit(n))
-            if E[n] != dickson.fib_explicit(n + 1):
-                yield ({"n": n, "kind": "E"}, E[n], dickson.fib_explicit(n + 1))
-
-    catalog["thm-5.5"] = thm_5_5
-
-    def make_5_6(sign: int, summed: bool):
-        def checker(fam, n_max, p_max, m_max, seed):
-            dickson = dickson_family()
-            top = n_max * m_max + 1
-            D, E = _dickson_lists(top)
-            m_lo = 0 if summed else 1
-            yield from _quadext_identity(D, E, dickson.delta(),
-                                         range(1, n_max + 1), range(m_lo, m_max + 1),
-                                         sign, 1, summed)
-        return checker
-
-    catalog["thm-5.6-1"] = make_5_6(+1, False)
-    catalog["thm-5.6-2"] = make_5_6(-1, False)
-    catalog["thm-5.6-3"] = make_5_6(+1, True)
-
-    def thm_5_7_a(fam, n_max, p_max, m_max, seed):
-        _, x, a = _dickson_vars()
-        D, E = _dickson_lists(n_max)
-        for n in range(2, n_max + 1):
-            lhs, rhs = D[n], x * E[n - 1] - 2 * a * E[n - 2]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-5.7-a"] = thm_5_7_a
-
-    def thm_5_7_b(fam, n_max, p_max, m_max, seed):
-        dickson, x, a = _dickson_vars()
-        D, E = _dickson_lists(n_max + 1)
-        for n in range(1, n_max + 1):
-            lhs = 2 * D[n + 1] - x * D[n]
-            rhs = dickson.delta() * E[n - 1]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-5.7-b"] = thm_5_7_b
-
-    def thm_5_7_c(fam, n_max, p_max, m_max, seed):
-        _, x, a = _dickson_vars()
-        D, E = _dickson_lists(n_max + p_max + 1)
-        for n in range(2, n_max + 1):
-            for p in range(p_max + 1):
-                lhs = D[n + p]
-                rhs = D[p + 1] * E[n - 1] - a * D[p] * E[n - 2]
-                if lhs != rhs:
-                    yield ({"n": n, "p": p}, lhs, rhs)
-
-    catalog["thm-5.7-c"] = thm_5_7_c
-
-    def thm_5_7_d1(fam, n_max, p_max, m_max, seed):
-        _, x, a = _dickson_vars()
-        D, E = _dickson_lists(2 * n_max)
-        for n in range(2, n_max + 1):
-            lhs = D[2 * n]
-            rhs = D[n + 1] * E[n - 1] - a * D[n] * E[n - 2]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-5.7-d1"] = thm_5_7_d1
-
-    def make_5_7_d2(top_index_shift: int):
-        # Corrected form leads with E_n^2; the published form prints E_{n+1}^2.
-        def checker(fam, n_max, p_max, m_max, seed):
-            _, x, a = _dickson_vars()
-            D, E = _dickson_lists(max(2 * n_max, n_max + top_index_shift))
-            for n in range(2, n_max + 1):
-                lhs = D[2 * n]
-                rhs = (E[n + top_index_shift] ** 2
-                       - 2 * a * E[n - 1] ** 2 + a**2 * E[n - 2] ** 2)
-                if lhs != rhs:
-                    yield ({"n": n}, lhs, rhs)
-        return checker
-
-    catalog["thm-5.7-d2"] = make_5_7_d2(0)
-    catalog["thm-5.7-d2-as-printed"] = make_5_7_d2(1)
-
-    def thm_5_7_e(fam, n_max, p_max, m_max, seed):
-        _, x, a = _dickson_vars()
-        D, E = _dickson_lists(n_max)
-        for n in range(1, n_max + 1):
-            lhs, rhs = D[n], 2 * E[n] - x * E[n - 1]
-            if lhs != rhs:
-                yield ({"n": n}, lhs, rhs)
-
-    catalog["thm-5.7-e"] = thm_5_7_e
-
-    def make_2_6(sign: str):
-        def checker(fam, n_max, p_max, m_max, seed):
-            for k in (2, 3, 4):
-                for n in range(min(n_max, 15) + 1):
-                    lhs = generalized_lucas(k, n)
-                    rhs = generalized_lucas_closed_form(k, n, sign=sign)
-                    if lhs != rhs:
-                        yield ({"k": k, "n": n}, lhs, rhs)
-        return checker
-
-    catalog["thm-2.6-sign"] = make_2_6("derived")
-    catalog["thm-2.6-sign-as-printed"] = make_2_6("printed")
-
-    return catalog
-
-
-_CATALOG = _catalog()
+# Identity id -> checker(family, n_max, p_max, m_max, seed), which yields the
+# mismatching cases in check order.  Every id but lem-4.4 (random initial
+# windows) and thm-4.21-12 (floats at random points) is an _Entry.  This
+# order is the order of IDENTITY_IDS, TYPO_IDS and the CLI's output.
+_CATALOG: dict[str, Callable[..., Iterator[Case]]] = {
+    "lem-4.4": _check_lem_4_4,
+    "thm-4.5": _Entry(lambda N, P, M: {"F": N, "L": N}, _each_n(
+        1, lambda s, n: (s.L[n], 2 * s.q2 * s.F[n - 1] + s.q1 * s.F[n]))),
+    "thm-4.7": _Entry(lambda N, P, M: {"F": N, "L": N + 1}, _each_n(
+        0, lambda s, n: (2 * s.L[n + 1] - s.q1 * s.L[n], s.fam.delta() * s.F[n]))),
+    "thm-4.9": _Entry(lambda N, P, M: {"F": N, "L": N + max(N, P)}, _cases_4_9),
+    "thm-4.11": _Entry(lambda N, P, M: {"F": N + 1, "L": 2 * N}, _each_n(1, lambda s, n: (
+        s.L[2 * n], s.F[n + 1] ** 2 + 2 * s.q2 * s.F[n] ** 2 + s.q2**2 * s.F[n - 1] ** 2))),
+    "thm-4.13": _Entry(lambda N, P, M: {"F": N + 1}, _each_n(
+        0, lambda s, n: (s.F[n + 1], hessenberg_det_symbolic([s.q1, s.q2], n)))),
+    "thm-4.15": _Entry(lambda N, P, M: {"F": N + 1, "L": N}, _each_n(
+        0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n]))),
+    "thm-4.17": _Entry(lambda N, P, M: {"F": N + 1}, _each_n(
+        0, lambda s, n: (s.F[n + 1], s.fam.fib_explicit(n + 1)))),
+    "thm-4.19": _Entry(lambda N, P, M: {"L": N}, _each_n(
+        1, lambda s, n: (s.L[n], s.fam.lucas_explicit(n)))),
+    "thm-4.21-12": _check_4_21_12,
+    "thm-4.21-3": _power(False, +1, False),
+    "thm-4.21-4": _power(False, -1, False),
+    "thm-4.21-5": _power(False, +1, True),
+    "thm-5.1": _Entry(lambda N, P, M: {"E": N, "dickson_F": N + 1}, _each_n(
+        0, lambda s, n: (s.E[n], s.dickson_F[n + 1]))),
+    "thm-5.2": _Entry(lambda N, P, M: {"E": N}, _cases_5_2),
+    "thm-5.5": _Entry(lambda N, P, M: {"D": N, "E": N}, _cases_5_5),
+    "thm-5.6-1": _power(True, +1, False),
+    "thm-5.6-2": _power(True, -1, False),
+    "thm-5.6-3": _power(True, +1, True),
+    "thm-5.7-a": _Entry(lambda N, P, M: {"D": N, "E": N - 1}, _each_n(
+        2, lambda s, n: (s.D[n], s.x * s.E[n - 1] - 2 * s.a * s.E[n - 2]))),
+    "thm-5.7-b": _Entry(lambda N, P, M: {"D": N + 1, "E": N - 1}, _each_n(
+        1, lambda s, n: (2 * s.D[n + 1] - s.x * s.D[n], s.dickson.delta() * s.E[n - 1]))),
+    "thm-5.7-c": _Entry(lambda N, P, M: {"D": N + P, "E": N - 1}, lambda s, N, P, M: (
+        ({"n": n, "p": p}, s.D[n + p], s.D[p + 1] * s.E[n - 1] - s.a * s.D[p] * s.E[n - 2])
+        for n in range(2, N + 1) for p in range(P + 1))),
+    "thm-5.7-d1": _Entry(lambda N, P, M: {"D": 2 * N, "E": N - 1}, _each_n(
+        2, lambda s, n: (s.D[2 * n], s.D[n + 1] * s.E[n - 1] - s.a * s.D[n] * s.E[n - 2]))),
+    "thm-5.7-d2": _d2(0),
+    "thm-5.7-d2-as-printed": _d2(1),
+    "thm-5.7-e": _Entry(lambda N, P, M: {"D": N, "E": N}, _each_n(
+        1, lambda s, n: (s.D[n], 2 * s.E[n] - s.x * s.E[n - 1]))),
+    "thm-2.6-sign": _thm_2_6("derived"),
+    "thm-2.6-sign-as-printed": _thm_2_6("printed"),
+}
 
 # Stable public id list (CLI contract); the -as-printed entries are the
 # documented expected failures and are excluded from "all".

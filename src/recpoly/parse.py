@@ -89,7 +89,15 @@ _FACTORS = (*_BASES, Pow)
 
 # -- tokenizer ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
+# The one rule for variable names, here and in spec documents.
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+NAME_RULE = "an ASCII letter or '_', then letters, digits or '_'"
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*^()]))")
+
+
+def is_name(text: str) -> bool:
+    """Whether ``text`` is a variable name the tokenizer reads as one token."""
+    return re.fullmatch(_NAME, text) is not None
 
 
 def _tokenize(text: str) -> list[tuple[str, str | int, int]]:

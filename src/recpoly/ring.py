@@ -463,3 +463,6 @@ class QuadExtElem:
 
     def __repr__(self) -> str:
         return f"QuadExtElem(({self.u}) + ({self.v})*sqrt({self.delta}))"
+
+    def __str__(self) -> str:
+        return f"u={self.u}; v={self.v}"

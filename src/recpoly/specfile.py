@@ -12,7 +12,8 @@ The concrete document syntax is JSON (one fixed choice).  Schema:
 
 A non-"custom" family tag expands to a documented preset and forbids
 overriding ``variables``, ``coefficients`` and ``initial``;
-``generalized-lucas`` additionally requires ``order`` (k >= 2).
+``generalized-lucas`` additionally requires ``order`` (k >= 2), and an
+``order`` given with any other preset must be that preset's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping
 
 from .closedform import generalized_lucas_spec
 from .families import Order2Family, dickson_family
-from .parse import ParseError, parse_poly
+from .parse import NAME_RULE, ParseError, is_name, parse_poly
 from .recurrence import RecurrenceSpec
 from .ring import MultiPoly
 
@@ -36,21 +37,26 @@ class SpecFormatError(ValueError):
 
 
 def family_spec(tag: str, order: int | None = None) -> RecurrenceSpec:
-    """Expand a family preset tag into a RecurrenceSpec."""
+    """Expand a family preset tag into a RecurrenceSpec; a given ``order``
+    must be the preset's."""
     if tag in ("fibonacci2", "lucas2"):
         variables = ("x", "y")
         family = Order2Family(MultiPoly.var("x", variables), MultiPoly.var("y", variables))
-        return family.fib_spec() if tag == "fibonacci2" else family.lucas_spec()
-    if tag in ("dickson-d", "dickson-e"):
+        spec = family.fib_spec() if tag == "fibonacci2" else family.lucas_spec()
+    elif tag in ("dickson-d", "dickson-e"):
         family = dickson_family()
-        return family.lucas_spec() if tag == "dickson-d" else family._spec(1, family.q1)
-    if tag == "generalized-lucas":
+        spec = family.lucas_spec() if tag == "dickson-d" else family._spec(1, family.q1)
+    elif tag == "generalized-lucas":
         if order is None:
             raise SpecFormatError("family 'generalized-lucas' requires field 'order'")
         if order < 2:
             raise SpecFormatError("order: generalized-lucas requires order >= 2")
-        return generalized_lucas_spec(order)
-    raise SpecFormatError(f"family: unknown tag {tag!r} (known: {', '.join(FAMILY_TAGS)})")
+        spec = generalized_lucas_spec(order)
+    else:
+        raise SpecFormatError(f"family: unknown tag {tag!r} (known: {', '.join(FAMILY_TAGS)})")
+    if order is not None and spec.order != order:
+        raise SpecFormatError(f"order: family {tag!r} has order {spec.order}, got {order}")
+    return spec
 
 
 def _expr_list(doc: Mapping, field: str, order: int, variables: tuple[str, ...]) -> list[MultiPoly]:
@@ -70,6 +76,11 @@ def _expr_list(doc: Mapping, field: str, order: int, variables: tuple[str, ...])
     return polys
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def spec_from_mapping(doc: Mapping) -> RecurrenceSpec:
     if not isinstance(doc, Mapping):
         raise SpecFormatError("document: expected a JSON object")
@@ -81,21 +92,21 @@ def spec_from_mapping(doc: Mapping) -> RecurrenceSpec:
             if field in doc:
                 raise SpecFormatError(f"{field}: may not be overridden when family={tag!r}")
         order = doc.get("order")
-        if order is not None and not isinstance(order, int):
+        if order is not None and not _is_int(order):
             raise SpecFormatError("order: expected an integer")
-        spec = family_spec(tag, order)
-        if order is not None and spec.order != order:
-            raise SpecFormatError(f"order: family {tag!r} has order {spec.order}, got {order}")
-        return spec
+        return family_spec(tag, order)
 
     variables = doc.get("variables")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise SpecFormatError("variables: expected a list of names")
+    for name in variables:
+        if not is_name(name):
+            raise SpecFormatError(f"variables: {name!r} is not a name ({NAME_RULE})")
     if len(set(variables)) != len(variables):
         raise SpecFormatError("variables: duplicate names")
     variables = tuple(variables)
     order = doc.get("order")
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise SpecFormatError("order: expected an integer >= 1")
     coeffs = _expr_list(doc, "coefficients", order, variables)
     initial = _expr_list(doc, "initial", order, variables)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from recpoly import (
     MultiPoly,
     Order2Family,
+    RecurrenceSpec,
     SpecFormatError,
     dickson_family,
     family_spec,
@@ -25,6 +26,7 @@ from recpoly import engines, families
 from recpoly.cli import entry, main
 from recpoly.closedform import generalized_lucas_spec
 from recpoly.engines import ENGINES, compute_term
+from recpoly.parse import parse_poly
 
 
 def run(capsys, *argv):
@@ -107,6 +109,42 @@ class TestSpecDocuments:
                 spec_from_mapping(doc)
             assert field in str(info.value), doc
 
+    @pytest.mark.parametrize("doc", [
+        {**CUSTOM_DOC, "order": True},
+        {"family": "fibonacci2", "order": True},
+        {"family": "generalized-lucas", "order": True},
+    ])
+    def test_boolean_order_is_rejected(self, capsys, tmp_path, doc):
+        # JSON true loads as a bool, which Python counts as the integer 1.
+        code, out, err = run(capsys, "term", "--spec", write_spec(tmp_path, doc), "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order: expected an integer") and err.count("\n") == 1
+
+    def test_preset_order_rule_is_shared_by_files_and_flags(self, capsys, tmp_path):
+        message = "error: order: family 'fibonacci2' has order 2, got 3\n"
+        path = write_spec(tmp_path, {"family": "fibonacci2", "order": 3})
+        assert run(capsys, "term", "--spec", path, "--n", "2") == (2, "", message)
+        assert run(capsys, "term", "--family", "fibonacci2", "--order", "3",
+                   "--n", "2") == (2, "", message)
+        code, out, _ = run(capsys, "term", "--family", "fibonacci2", "--order", "2", "--n", "2")
+        assert (code, out) == (0, "x\n")
+
+    @pytest.mark.parametrize("name", ["1x", "", "x y", "x-1", "é"])
+    def test_variable_names_follow_the_parser(self, capsys, tmp_path, name):
+        doc = {"variables": [name], "order": 1, "coefficients": ["1"], "initial": ["1"]}
+        with pytest.raises(SpecFormatError, match="^variables: "):
+            spec_from_mapping(doc)
+        code, out, err = run(capsys, "term", "--spec", write_spec(tmp_path, doc), "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: variables: ") and err.count("\n") == 1
+
+    def test_accepted_variable_names_reparse(self):
+        doc = {"variables": ["x_1", "_y", "Z9"], "order": 1,
+               "coefficients": ["x_1*Z9"], "initial": ["_y"]}
+        spec = spec_from_mapping(doc)
+        value = compute_term(spec, 3, "iterate")
+        assert parse_poly(value.canonical(), spec.variables) == value
+
     def test_unreadable_and_invalid_files(self, tmp_path):
         with pytest.raises(SpecFormatError):
             load_spec(tmp_path / "missing.json")
@@ -155,6 +193,29 @@ class TestComputeTerm:
                             lambda coeffs, m, **kw: calls.append(m) or original(coeffs, m, **kw))
         compute_term(generalized_lucas_spec(4), 30, engine)
         assert calls == [27]
+
+    def test_each_coefficient_is_negated_at_most_once(self, monkeypatch):
+        # The numerator's -c_i is made once, on first use, and only for a
+        # nonzero P_{j-i}: at most k negations, none for delta initials.  The
+        # multinomial walk itself negates nothing, so every call counted here
+        # is the numerator's.
+        negations = []
+        original = MultiPoly.__neg__
+        monkeypatch.setattr(MultiPoly, "__neg__",
+                            lambda self: negations.append(1) or original(self))
+        variables = ("x",)
+        x = MultiPoly.var("x", variables)
+        for k in (1, 2, 5, 30):
+            spec = RecurrenceSpec.make(variables, [x + i for i in range(k)],
+                                       [x + i for i in range(k)])
+            negations.clear()
+            value = compute_term(spec, k + 2, "multinomial")
+            assert len(negations) <= k, k
+            assert value == compute_term(spec, k + 2, "iterate")
+        spec = generalized_lucas_spec(40)
+        negations.clear()
+        compute_term(spec, 45, "multinomial")
+        assert negations == []
 
 
 @st.composite
@@ -487,6 +548,13 @@ class TestIdentityCommand:
         code, out, err = run(capsys, "identity", "--ids", "thm-4.9,thm-4.21-3", flag, "-3")
         assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -3\n")
 
+    def test_power_ids_at_m_max_zero(self, capsys):
+        # Each base element still reads index n, past n * m_max = 0.
+        ids = "thm-4.21-3,thm-4.21-4,thm-4.21-5,thm-5.6-1,thm-5.6-2,thm-5.6-3"
+        code, out, err = run(capsys, "identity", "--ids", ids, "--n-max", "3", "--m-max", "0")
+        assert (code, err) == (0, "")
+        assert out.count("PASS") == 6
+
     def test_exact_value_past_float_range(self, capsys):
         # F_n(x^400, y) at a point with |x| = 5 is past the float range from
         # n = 3 on, so the numeric Binet value cannot be compared with it.
@@ -523,6 +591,12 @@ class TestIdentityCommand:
 
 
 class TestBenchCommand:
+    @pytest.mark.parametrize("reps", ["0", "-4"])
+    def test_reps_below_one_is_usage_error(self, capsys, reps):
+        code, out, err = run(capsys, "bench", "--family", "fibonacci2", "--n", "5",
+                             "--reps", reps)
+        assert (code, out, err) == (2, "", f"error: --reps must be >= 1, got {reps}\n")
+
     def test_engines_agree_and_report(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "fibonacci2", "--n", "40",
                            "--engines", "iterate,companion,multinomial,determinant",

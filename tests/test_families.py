@@ -20,6 +20,7 @@ from recpoly import (
     generic_family,
     tridiag_closed_form_check,
 )
+from recpoly import families
 from recpoly.closedform import hessenberg_det
 from recpoly.families import dickson_E_det_signflip_check, lu_det, lucas_weight
 
@@ -242,3 +243,37 @@ class TestIdentityCatalog:
         fam = dickson_family()
         assert fam.variables == ("x", "a")
         assert fam.delta() == X_**2 - 4 * A_
+
+    @pytest.mark.parametrize("ranges", [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 2, 1), (2, 1, 0)])
+    @pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+    def test_each_identity_passes_at_the_smallest_ranges(self, identity_id, ranges):
+        n_max, p_max, m_max = ranges
+        report = check_identity(identity_id, n_max=n_max, p_max=p_max, m_max=m_max)
+        assert report.passed, report.witness
+
+    @pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+    def test_each_sequence_is_built_once_up_to_the_last_index_read(self, identity_id,
+                                                                   monkeypatch):
+        # A passing check reads every case, so each list's last term is read.
+        built = []
+        original = families.iterate_terms
+
+        def recording(spec, n_max):
+            built.append((spec, _ReadList(original(spec, n_max))))
+            return built[-1][1]
+
+        monkeypatch.setattr(families, "iterate_terms", recording)
+        check_identity(identity_id, n_max=7, p_max=3, m_max=3)
+        specs = [spec for spec, _ in built]
+        assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1:])
+        assert [terms.top for _, terms in built] == [len(terms) - 1 for _, terms in built]
+
+
+class _ReadList(list):
+    """A list that records the highest index read from it."""
+
+    top = -1
+
+    def __getitem__(self, index):
+        self.top = max(self.top, index)
+        return super().__getitem__(index)
