@@ -231,7 +231,7 @@ def _cmd_bench(args) -> int:
             value = compute_term(spec, args.n, engine)
             samples.append(time.perf_counter_ns() - start)
         results[engine] = value
-        timings[engine] = int(statistics.median(samples))
+        timings[engine] = samples
     baseline = results[engines[0]]
     for engine in engines[1:]:
         if results[engine] != baseline:
@@ -244,11 +244,13 @@ def _cmd_bench(args) -> int:
     if args.format != "json-lines":
         print("engine\tmedian_ms\tterms\tagreement")
     for engine in engines:
-        median_ms = timings[engine] / 1e6
-        _emit(args, f"{engine}\t{median_ms:.12g}\t{results[engine].term_count()}\tyes", {
+        samples = timings[engine]
+        median = int(statistics.median(samples))
+        _emit(args, f"{engine}\t{median / 1e6:.12g}\t{results[engine].term_count()}\tyes", {
             "kind": "bench", "id": engine,
             "value_canonical": results[engine].canonical(),
-            "engine": engine, "elapsed_ns": timings[engine],
+            "engine": engine, "elapsed_ns": median,
+            "min_ns": min(samples), "max_ns": max(samples), "reps": len(samples),
         })
     return EXIT_OK
 

@@ -196,9 +196,10 @@ def _hessenberg_minors(minors: list[MultiPoly], n: int,
     return minors
 
 
-def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Symbolic determinant of an upper Hessenberg matrix, by expanding
-    its leading principal minors (see :func:`_hessenberg_minors`)."""
+def hessenberg_minors(matrix: Sequence[Sequence[MultiPoly]]) -> list[MultiPoly]:
+    """The leading principal minors d_0..d_n of an upper Hessenberg matrix,
+    by one expansion (see :func:`_hessenberg_minors`).  d_m reads only the
+    leading m x m block, so it is the determinant of that block."""
     n = len(matrix)
     if n == 0:
         raise StructuralError("use the coefficient-level wrapper for the empty determinant")
@@ -208,7 +209,12 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         return [matrix[r - 1][m - 1] for r in range(m, top - 1, -1)]
 
     one = MultiPoly.const(matrix[0][0].variables, 1)
-    return _hessenberg_minors([one], n, column, lambda r: matrix[r - 1][r - 2])[n]
+    return _hessenberg_minors([one], n, column, lambda r: matrix[r - 1][r - 2])
+
+
+def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Symbolic determinant of an upper Hessenberg matrix."""
+    return hessenberg_minors(matrix)[-1]
 
 
 def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int,
@@ -237,37 +243,55 @@ def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int,
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    """Exact integer determinant by fraction-free (Bareiss) elimination
+    over the literal dense matrix.
+
+    The textbook loop scales each row with a zero lead entry by pivot/prev
+    at every column.  Those factors telescope, so such a row is left as it
+    is: its current entries are the stored ones times prev / since[r], where
+    ``since[r]`` is the pivot it was last brought up to date with.  A row is
+    brought up to date only when it is read, and every division is exact.
+    An upper Hessenberg matrix costs O(n^2) entry updates, a dense one O(n^3).
+    """
     n = len(rows)
     if n == 0:
         return 1
     m = [list(map(int, row)) for row in rows]
     if any(len(row) != n for row in m):
         raise StructuralError("matrix must be square")
+    since = [1] * n
     sign = 1
     prev = 1
     for col in range(n - 1):
+        # A stored entry is zero exactly when its current value is.
         if m[col][col] == 0:
             for r in range(col + 1, n):
                 if m[r][col] != 0:
                     m[col], m[r] = m[r], m[col]
+                    since[col], since[r] = since[r], since[col]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[col][col]
-        pivot_tail = m[col][col + 1:]
-        # Each row below is rewritten from column col + 1 on; column col is
-        # never read again.  A row with a zero lead entry is only scaled.
-        for row in m[col + 1:]:
+        row = m[col]
+        if since[col] != prev:
+            s = since[col]
+            row[col:] = [x * prev // s for x in row[col:]]
+        pivot = row[col]
+        pivot_tail = row[col + 1:]
+        # A row below with a nonzero lead is rewritten from column col + 1
+        # on; column col is never read again.  Bringing it up to date
+        # (times prev / s) and then dividing by prev is one division by s.
+        for r in range(col + 1, n):
+            row = m[r]
             lead = row[col]
             if lead:
-                row[col + 1:] = [(pivot * x - lead * y) // prev
+                s = since[r]
+                row[col + 1:] = [(pivot * x - lead * y) // s
                                  for x, y in zip(row[col + 1:], pivot_tail)]
-            else:
-                row[col + 1:] = [pivot * x // prev if x else 0 for x in row[col + 1:]]
+                since[r] = pivot
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * (m[n - 1][n - 1] * prev // since[n - 1])
 
 
 def hessenberg_det_numeric_oracle(coeffs: Sequence[MultiPoly], n: int,
@@ -275,15 +299,18 @@ def hessenberg_det_numeric_oracle(coeffs: Sequence[MultiPoly], n: int,
     """Evaluate the literal n x n matrix at an integer point and take its
     determinant by Bareiss elimination (deliberately not via the recurrence).
 
-    Inside a term budget, a matrix of more than ``budget`` entries is refused
-    before it is built."""
+    The matrix holds only k + 2 distinct entry objects (the coefficients,
+    zero and -1), so each is evaluated once.  Inside a term budget, a
+    matrix of more than ``budget`` entries is refused before it is built."""
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
     check_budget(n * n, "matrix entry count")
     matrix = hessenberg_matrix(coeffs, n)
-    return bareiss_det([[entry.eval_int(point) for entry in row] for row in matrix])
+    entries = {id(entry): entry for row in matrix for entry in row}
+    values = {key: entry.eval_int(point) for key, entry in entries.items()}
+    return bareiss_det([[values[id(entry)] for entry in row] for row in matrix])
 
 
 # -- generalized multivariate Lucas sequence ---------------------------------

@@ -28,8 +28,8 @@ from .binet import binet_multiple, char_roots
 from .closedform import (
     generalized_lucas,
     generalized_lucas_closed_form,
-    hessenberg_det,
     hessenberg_det_symbolic,
+    hessenberg_minors,
 )
 from .errors import StructuralError
 from .recurrence import RecurrenceSpec, iterate_terms
@@ -164,21 +164,28 @@ def _tridiag(diag, sub, sup, n: int) -> list[list]:
     return [[bands.get(j - i, zero) for j in range(n)] for i in range(n)]
 
 
+def _dickson_E_minors(n_max: int, sign: int = 1) -> list[MultiPoly]:
+    """The leading minors d_0..d_n_max of the literal n_max x n_max
+    tridiagonal matrix with diagonal x, superdiagonal sign * a and
+    subdiagonal sign * 1.  Its leading n x n block is the literal n x n
+    matrix, so d_n is that matrix's determinant."""
+    _, x, a = _dickson_vars()
+    one = MultiPoly.const(x.variables, 1)
+    return hessenberg_minors(_tridiag(x, sign * one, sign * a, n_max))
+
+
 def dickson_E_det(n: int) -> MultiPoly:
     """E_n as the n x n tridiagonal determinant (diagonal x, superdiagonal a,
     subdiagonal +1), by cofactor expansion of the literal matrix."""
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
-    _, x, a = _dickson_vars()
-    return hessenberg_det(_tridiag(x, MultiPoly.const(x.variables, 1), a, n))
+    return _dickson_E_minors(n)[n]
 
 
 def dickson_E_det_signflip_check(n: int) -> bool:
     """The proof's similarity step: flipping both off-diagonal bands'
     signs leaves the tridiagonal determinant unchanged."""
-    _, x, a = _dickson_vars()
-    one = MultiPoly.const(x.variables, 1)
-    return hessenberg_det(_tridiag(x, one, a, n)) == hessenberg_det(_tridiag(x, -one, -a, n))
+    return _dickson_E_minors(n)[n] == _dickson_E_minors(n, -1)[n]
 
 
 def lu_det(rows: Sequence[Sequence[complex]]) -> complex:
@@ -349,10 +356,19 @@ def _cases_4_9(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
                    s.q2 * s.L[q] * s.F[n - 1] + s.L[q + 1] * s.F[n])
 
 
+def _cases_4_13(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    minors: list[MultiPoly] = []  # one expansion serves every n of this check
+    for n in range(N + 1):
+        yield {"n": n}, s.F[n + 1], hessenberg_det_symbolic([s.q1, s.q2], n, minors)
+
+
 def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    # One literal N x N matrix per sign: d_n of each is dickson_E_det(n)
+    # and the two sides of dickson_E_det_signflip_check(n).
+    plus, minus = _dickson_E_minors(max(N, 1)), _dickson_E_minors(max(N, 1), -1)
     for n in range(1, N + 1):
-        yield {"n": n}, s.E[n], dickson_E_det(n)
-        flip = "symmetric" if dickson_E_det_signflip_check(n) else "asymmetric"
+        yield {"n": n}, s.E[n], plus[n]
+        flip = "symmetric" if plus[n] == minus[n] else "asymmetric"
         yield {"n": n, "part": "sign-flip"}, flip, "symmetric"
 
 
@@ -455,8 +471,7 @@ _CATALOG: dict[str, Callable[..., Iterator[Case]]] = {
     "thm-4.9": _Entry(lambda N, P, M: {"F": N, "L": N + max(N, P)}, _cases_4_9),
     "thm-4.11": _Entry(lambda N, P, M: {"F": N + 1, "L": 2 * N}, _each_n(1, lambda s, n: (
         s.L[2 * n], s.F[n + 1] ** 2 + 2 * s.q2 * s.F[n] ** 2 + s.q2**2 * s.F[n - 1] ** 2))),
-    "thm-4.13": _Entry(lambda N, P, M: {"F": N + 1}, _each_n(
-        0, lambda s, n: (s.F[n + 1], hessenberg_det_symbolic([s.q1, s.q2], n)))),
+    "thm-4.13": _Entry(lambda N, P, M: {"F": N + 1}, _cases_4_13),
     "thm-4.15": _Entry(lambda N, P, M: {"F": N + 1, "L": N}, _each_n(
         0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n]))),
     "thm-4.17": _Entry(lambda N, P, M: {"F": N + 1}, _each_n(

@@ -55,3 +55,31 @@ def spec_from_roots(roots_with_mults: list[tuple[int, int]]) -> RecurrenceSpec:
     coeffs = [MultiPoly.const(variables, -monic[i]) for i in range(1, k + 1)]
     initial = [MultiPoly.const(variables, 1 if j == k - 1 else 0) for j in range(k)]
     return RecurrenceSpec.make(variables, coeffs, initial)
+
+
+def eager_bareiss_det(rows: list[list[int]]) -> int:
+    """Reference: textbook Bareiss elimination, which rescales every row
+    below the pivot at every column, including rows whose lead entry is
+    zero (each by pivot / prev)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            for r in range(col + 1, n):
+                if m[r][col] != 0:
+                    m[col], m[r] = m[r], m[col]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[col][col]
+        for r in range(col + 1, n):
+            lead = m[r][col]
+            for j in range(col + 1, n):
+                m[r][j] = (pivot * m[r][j] - lead * m[col][j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]

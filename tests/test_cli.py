@@ -607,6 +607,18 @@ class TestBenchCommand:
         assert len(lines) == 5
         assert all(line.endswith("yes") for line in lines[1:])
 
+    def test_json_record_shows_the_spread(self, capsys):
+        code, out, _ = run(capsys, "bench", "--family", "fibonacci2", "--n", "20",
+                           "--engines", "iterate,companion", "--reps", "3",
+                           "--format", "json-lines")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["engine"] for r in records] == ["iterate", "companion"]
+        for record in records:
+            assert record["reps"] == 3
+            assert all(isinstance(record[f], int) for f in ("min_ns", "elapsed_ns", "max_ns"))
+            assert 0 < record["min_ns"] <= record["elapsed_ns"] <= record["max_ns"]
+
     def test_unknown_engine(self, capsys):
         code, _, err = run(capsys, "bench", "--family", "fibonacci2", "--n", "5",
                            "--engines", "iterate,magic")

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VARS, multipolys
@@ -28,7 +28,7 @@ from recpoly import closedform
 from recpoly.closedform import hessenberg_det, hessenberg_matrix, multinomial
 from recpoly.engines import compute_term, table_terms
 from recpoly.specfile import family_spec
-from support import random_delta_spec
+from support import eager_bareiss_det, random_delta_spec
 
 
 def full_expansion_det(matrix):
@@ -66,6 +66,21 @@ def coefficient_lists(draw):
     zero = MultiPoly.zero(VARS[:2])
     entry = st.just(zero) | multipolys(VARS[:2], max_terms=3, max_exp=2, coeff_bound=5)
     return [draw(entry) for _ in range(k)]
+
+
+@st.composite
+def zero_heavy_matrices(draw):
+    """Square integer matrices up to 10 x 10, mostly zero, so that zero
+    pivots and singular matrices occur; half are upper Hessenberg, and half
+    of those have their rows shuffled, which calls for row swaps."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    entry = st.just(0) | st.just(0) | st.integers(-9, 9) | st.integers(-10**12, 10**12)
+    hessenberg = draw(st.booleans())
+    rows = [[draw(entry) if j >= i - 1 or not hessenberg else 0 for j in range(n)]
+            for i in range(n)]
+    if hessenberg and draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return rows
 
 
 def leibniz_det(rows):
@@ -279,6 +294,20 @@ class TestBareiss:
         # Mostly-zero entries: zero pivots, row swaps and singular matrices.
         assert bareiss_det(rows) == leibniz_det(rows)
 
+    @settings(max_examples=400, deadline=None)
+    @given(zero_heavy_matrices())
+    # Rows of an upper Hessenberg matrix in reverse order: the first pivot
+    # is zero, and the rows left behind by swaps stay unscaled.
+    @example([[0, 0, 0, 0, 5, 9], [0, 0, 0, 8, 4, 1], [0, 0, 8, 4, 7, 2],
+              [0, 1, 8, 8, 8, 7], [2, 3, 4, 9, 4, 7], [4, 6, 7, 3, 4, 1]])
+    # A swap brings up a row that was already combined, so leaving `since`
+    # behind, dividing by prev, or reading the pivot row or the last row
+    # without bringing it up to date each give a wrong value here.
+    @example([[-3, 0, 0, 0, 1], [1, 0, 0, 2, 0], [0, 0, -1, 0, 0],
+              [0, 2, 0, 0, -2], [-2, 0, -3, 0, 0]])
+    def test_matches_eager_rescaling(self, rows):
+        assert bareiss_det(rows) == eager_bareiss_det(rows)
+
     def test_multiplicativity_spot_check(self):
         rng = random.Random(21)
         for _ in range(5):
@@ -306,6 +335,23 @@ class TestNumericOracle:
                 sym = hessenberg_det_symbolic(spec.coeffs, n).eval_int(point)
                 assert hessenberg_det_numeric_oracle(spec.coeffs, n, point) == sym
 
+
+    def test_each_distinct_entry_is_evaluated_once(self, monkeypatch):
+        # Roots 6, 7, 9: P_(n+2) is the complete homogeneous h_n(6, 7, 9).
+        coeffs, n = generalized_lucas_spec(3).coeffs, 100
+        point = {"x1": 22, "x2": 159, "x3": 378}
+        expected = sum(6**i * 7**j * 9 ** (n - i - j)
+                       for i in range(n + 1) for j in range(n + 1 - i))
+        calls = []
+        eval_int = MultiPoly.eval_int
+
+        def counted(self, values):
+            calls.append(self)
+            return eval_int(self, values)
+
+        monkeypatch.setattr(MultiPoly, "eval_int", counted)
+        assert hessenberg_det_numeric_oracle(coeffs, n, point) == expected
+        assert len(calls) <= len(coeffs) + 2
 
     def test_budget_bounds_the_matrix(self):
         variables = ("x",)
