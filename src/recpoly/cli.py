@@ -106,19 +106,17 @@ def _cmd_term(args) -> int:
 def _cmd_table(args) -> int:
     spec = _resolve_spec(args)
     values = table_terms(spec, args.n_max, args.engine)
-    # Each row carries the ns spent producing that row alone.
-    rows = []
+    # Each row is printed as it comes and carries the ns its engine step
+    # took, printing excluded.
     start = time.perf_counter_ns()
-    for value in values:
-        now = time.perf_counter_ns()
-        rows.append((value, now - start))
-        start = now
-    for n, (value, elapsed) in enumerate(rows):
+    for n, value in enumerate(values):
+        elapsed = time.perf_counter_ns() - start
         text = value.canonical()
         _emit(args, f"{n}\t{text}", {
             "kind": "term", "index": n, "value_canonical": text,
             "engine": args.engine, "elapsed_ns": elapsed,
         })
+        start = time.perf_counter_ns()
     return EXIT_OK
 
 

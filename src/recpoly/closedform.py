@@ -17,7 +17,9 @@ that is the default, with the published variant kept for regression tests.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import StructuralError
@@ -163,37 +165,26 @@ def hessenberg_matrix(coeffs: Sequence[MultiPoly], n: int) -> list[list[MultiPol
     return rows
 
 
-def _hessenberg_minors(minors: list[MultiPoly], n: int,
-                       column: Callable[[int], Sequence[MultiPoly]],
-                       subdiag: Callable[[int], MultiPoly]) -> list[MultiPoly]:
-    """Extend [d_0, ..., d_j] in place to the leading principal minors
-    d_0..d_n of an upper Hessenberg matrix, and return the list.
+def _hessenberg_minors(variables: tuple[str, ...], weights: Callable[[int], Sequence[MultiPoly]],
+                       depth: int) -> Iterator[MultiPoly]:
+    """Yield the leading principal minors d_0, d_1, ... of an upper
+    Hessenberg matrix, keeping only the last ``depth`` of them.
 
     Laplace expansion along the last column of each leading principal minor:
-    d_m = sum_r (-1)^(m-r) a[r-1][m-1] (prod of subdiagonal entries) d_{r-1},
-    with d_0 = 1 (empty determinant).  ``column(m)`` lists a[m-1][m-1],
-    a[m-2][m-1], ... upward and ends at the column's topmost nonzero entry,
-    so the sum costs ring products in proportion to the band, not to m;
-    zeros inside the band are allowed.  ``subdiag(r)`` is a[r-1][r-2].
+    d_m = sum_r w_r d_{r-1}, with d_0 = 1 (empty determinant) and cofactor
+    weights w_r = (-1)^(m-r) a[r-1][m-1] a[r][r-1] ... a[m-1][m-2].
+    ``weights(m)`` lists w_m, w_(m-1), ..., at most ``depth`` of them, and
+    may end at the column's topmost nonzero entry, so the sum costs ring
+    products in proportion to the band, not to m; a zero weight costs none.
     """
-    variables = minors[0].variables
-    one = MultiPoly.const(variables, 1)
-    for m in range(len(minors), n + 1):
+    recent = deque([MultiPoly.const(variables, 1)], maxlen=max(depth, 1))
+    yield recent[0]
+    for m in itertools.count(1):
         acc: dict[int, int] = {}
-        entries = column(m)
-        subdiag_prod = one
-        # r runs downward so the subdiagonal product can grow incrementally.
-        for offset, entry in enumerate(entries):
-            r = m - offset
-            if not entry.is_zero():
-                factor = entry * subdiag_prod
-                if offset % 2:
-                    factor = -factor
-                _addmul(acc, variables, factor.terms, minors[r - 1].terms)
-            if offset + 1 < len(entries):
-                subdiag_prod = subdiag_prod * subdiag(r)
-        minors.append(_charged(variables, acc))
-    return minors
+        for w, d in zip(weights(m), reversed(recent)):
+            _addmul(acc, variables, w.terms, d.terms)
+        recent.append(_charged(variables, acc))
+        yield recent[-1]
 
 
 def hessenberg_minors(matrix: Sequence[Sequence[MultiPoly]]) -> list[MultiPoly]:
@@ -203,13 +194,20 @@ def hessenberg_minors(matrix: Sequence[Sequence[MultiPoly]]) -> list[MultiPoly]:
     n = len(matrix)
     if n == 0:
         raise StructuralError("use the coefficient-level wrapper for the empty determinant")
+    variables = matrix[0][0].variables
 
-    def column(m: int) -> list[MultiPoly]:
-        top = next((r for r in range(1, m + 1) if not matrix[r - 1][m - 1].is_zero()), m)
-        return [matrix[r - 1][m - 1] for r in range(m, top - 1, -1)]
+    def weights(m: int) -> list[MultiPoly]:
+        # Row r (0-based) weighs d_r; the sign and the subdiagonal entries
+        # passed fold into one running factor.
+        top = next((r for r in range(m) if not matrix[r][m - 1].is_zero()), m - 1)
+        factor, out = MultiPoly.const(variables, 1), []
+        for r in range(m - 1, top - 1, -1):
+            out.append(factor * matrix[r][m - 1])
+            if r > top:
+                factor = -(factor * matrix[r][r - 1])
+        return out
 
-    one = MultiPoly.const(matrix[0][0].variables, 1)
-    return _hessenberg_minors([one], n, column, lambda r: matrix[r - 1][r - 2])
+    return list(itertools.islice(_hessenberg_minors(variables, weights, n), n + 1))
 
 
 def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -217,29 +215,23 @@ def hessenberg_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return hessenberg_minors(matrix)[-1]
 
 
-def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int,
-                            minors: Optional[list[MultiPoly]] = None) -> MultiPoly:
-    """P^(k-1)_{n+k-1} as the n x n symbolic Hessenberg determinant; n = 0 gives 1.
-
-    The expansion reads the band (c_1, ..., c_k above the diagonal, -1 below
-    it) straight from ``coeffs``; the matrix is never built.  ``minors`` may
-    be shared across calls with the same coefficient list: it holds the
-    leading principal minors d_0, d_1, ... found so far and is extended to
-    d_n, so one expansion serves every n up to the largest asked for.
-    """
-    if n < 0:
-        raise StructuralError(f"n must be >= 0, got {n}")
-    variables = coeffs[0].variables
-    if minors is None:
-        minors = []
-    if not minors:
-        minors.append(MultiPoly.const(variables, 1))
-    # Column m holds c_1, ..., c_min(m, k) from the diagonal upward; the
-    # band ends at the last nonzero coefficient.
+def band_minors(coeffs: Sequence[MultiPoly]) -> Iterator[MultiPoly]:
+    """Yield P^(k-1)_{m+k-1} for m = 0, 1, ...: the leading minors of the
+    Hessenberg matrix with first row (c_1, ..., c_k) and -1 below the
+    diagonal, which is never built.  Each sign (-1)^(m-r) cancels against
+    the m - r subdiagonal -1s, so the cofactor weights of column m are its
+    band c_1, ..., c_min(m, k), ending at the last nonzero coefficient."""
     width = max((j + 1 for j, c in enumerate(coeffs) if not c.is_zero()), default=0)
     band = list(coeffs[:width])
-    minus_one = MultiPoly.const(variables, -1)
-    return _hessenberg_minors(minors, n, lambda m: band[:m], lambda r: minus_one)[n]
+    return _hessenberg_minors(coeffs[0].variables, lambda m: band[:m], width)
+
+
+def hessenberg_det_symbolic(coeffs: Sequence[MultiPoly], n: int) -> MultiPoly:
+    """P^(k-1)_{n+k-1} as the n x n symbolic Hessenberg determinant; n = 0
+    gives 1.  One expansion over the band (see :func:`band_minors`)."""
+    if n < 0:
+        raise StructuralError(f"n must be >= 0, got {n}")
+    return next(itertools.islice(band_minors(coeffs), n, None))
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterator
 
-from .closedform import hessenberg_det_symbolic, multinomial_term
+from .closedform import band_minors, multinomial_term
 from .errors import StructuralError
 from .recurrence import RecurrenceSpec, companion_power_term, iter_terms
 from .ring import MultiPoly, _addmul, _charged
@@ -48,10 +49,18 @@ def _multinomial(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
 
 
 def _determinant(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
-    # The cache holds the leading principal minors: one expansion serves
-    # every b(m) of a term, and every row of a table.
-    minors = cache.setdefault("minors", [])
-    return _closed_form(spec, n, lambda m: hessenberg_det_symbolic(spec.coeffs, m, minors=minors))
+    # The cache holds the band expansion and its last k minors: a term reads
+    # b(n-k+1)..b(n) and a table's rows ascend, so one expansion serves a
+    # term, or a whole table.  A b(m) behind the window starts it over.
+    def b(m: int) -> MultiPoly:
+        if "minors" not in cache or m < cache["next"] - spec.order:
+            cache.update(minors=band_minors(spec.coeffs), next=0, window=deque(maxlen=spec.order))
+        while cache["next"] <= m:
+            cache["window"].append(next(cache["minors"]))
+            cache["next"] += 1
+        return cache["window"][m - cache["next"]]
+
+    return _closed_form(spec, n, b)
 
 
 # Each entry is fn(spec, n, cache), where ``cache`` is a dict the engine may

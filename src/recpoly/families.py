@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binet import binet_multiple, char_roots
 from .closedform import (
+    band_minors,
     generalized_lucas,
     generalized_lucas_closed_form,
-    hessenberg_det_symbolic,
     hessenberg_minors,
 )
 from .errors import StructuralError
@@ -357,9 +357,9 @@ def _cases_4_9(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
 
 
 def _cases_4_13(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
-    minors: list[MultiPoly] = []  # one expansion serves every n of this check
-    for n in range(N + 1):
-        yield {"n": n}, s.F[n + 1], hessenberg_det_symbolic([s.q1, s.q2], n, minors)
+    # One expansion serves every n of this check.
+    for n, det in zip(range(N + 1), band_minors([s.q1, s.q2])):
+        yield {"n": n}, s.F[n + 1], det
 
 
 def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:

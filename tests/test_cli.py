@@ -22,7 +22,7 @@ from recpoly import (
     spec_from_mapping,
 )
 from conftest import VARS, multipolys
-from recpoly import engines, families
+from recpoly import cli, engines, families
 from recpoly.cli import entry, main
 from recpoly.closedform import generalized_lucas_spec
 from recpoly.engines import ENGINES, compute_term
@@ -184,15 +184,21 @@ class TestComputeTerm:
                 assert compute_term(spec, n, "determinant") == reference, (tag, n)
 
     @pytest.mark.parametrize("engine, closed_form", [
-        ("multinomial", "multinomial_term"), ("determinant", "hessenberg_det_symbolic")])
+        ("multinomial", "multinomial_term"), ("determinant", "band_minors")])
     def test_delta_initials_cost_one_closed_form_call(self, monkeypatch, engine, closed_form):
-        # N = (0, 0, 0, 1): only b(n - 3) is evaluated, the zero N_j are skipped.
+        # N = (0, 0, 0, 1): only b(n - 3) is evaluated, the zero N_j are
+        # skipped.  The multinomial sum is called once, at m = 27; the
+        # determinant starts one expansion and draws d_0..d_27 from it.
         calls = []
         original = getattr(engines, closed_form)
-        monkeypatch.setattr(engines, closed_form,
-                            lambda coeffs, m, **kw: calls.append(m) or original(coeffs, m, **kw))
+        wrappers = {
+            "multinomial": lambda coeffs, m, **kw: calls.append(m) or original(coeffs, m, **kw),
+            "determinant": lambda coeffs: (calls.append(m) or d
+                                           for m, d in enumerate(original(coeffs))),
+        }
+        monkeypatch.setattr(engines, closed_form, wrappers[engine])
         compute_term(generalized_lucas_spec(4), 30, engine)
-        assert calls == [27]
+        assert calls == ([27] if engine == "multinomial" else list(range(28)))
 
     def test_each_coefficient_is_negated_at_most_once(self, monkeypatch):
         # The numerator's -c_i is made once, on first use, and only for a
@@ -412,6 +418,24 @@ class TestTableCommand:
         assert len(stamps) == 31
         assert all(isinstance(ns, int) and ns >= 0 for ns in stamps)
         assert len(set(stamps)) > 1
+
+    def test_rows_stream_until_the_print_limit(self, capsys, monkeypatch, tmp_path):
+        # Each row is printed before the next is computed: at the 4300-digit
+        # print limit the engine has yielded at most the row that failed.
+        yielded = []
+        original = cli.table_terms
+
+        def counting(*args):
+            for value in original(*args):
+                yielded.append(1)
+                yield value
+
+        monkeypatch.setattr(cli, "table_terms", counting)
+        code, out, err = run(capsys, "table", "--spec", write_spec(tmp_path, FIB_INT_DOC),
+                             "--n-max", "25000")
+        printed = out.count("\n")
+        assert code == 3 and "4300-digit print limit" in err
+        assert 0 < printed < 25001 and len(yielded) <= printed + 1
 
 
 class TestDetCommand:

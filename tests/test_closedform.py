@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,8 @@ from recpoly import (
 )
 from recpoly import closedform
 from recpoly.closedform import hessenberg_det, hessenberg_matrix, multinomial
-from recpoly.engines import compute_term, table_terms
+from recpoly.engines import ENGINES, compute_term, table_terms
+from recpoly.recurrence import iter_terms
 from recpoly.specfile import family_spec
 from support import eager_bareiss_det, random_delta_spec
 
@@ -242,9 +244,33 @@ class TestHessenbergEngine:
         one = MultiPoly.const((), 1)
         k, n = 2, 400
         value = hessenberg_det_symbolic([one] * k, n)
-        assert ring_products[0] <= 3 * k * n
+        assert ring_products[0] <= k * n
         fibonacci = RecurrenceSpec.make((), [one, one], [MultiPoly.zero(()), one])
         assert value == iterate_terms(fibonacci, n + 1)[n + 1]
+
+    def test_expansion_keeps_only_the_band_of_minors(self):
+        # Iteration holds the last k terms; the determinant holds the last k
+        # minors, so their peaks match (keeping every minor costs ~50x here).
+        spec, n = family_spec("fibonacci2"), 300
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        iterate = peak(lambda: sum(1 for _ in iter_terms(spec, n)))
+        assert peak(lambda: hessenberg_det_symbolic(spec.coeffs, n)) <= 2 * iterate
+        assert peak(lambda: compute_term(spec, n, "determinant")) <= 2 * iterate
+
+    def test_shared_cache_serves_any_order(self):
+        # A b(m) behind the engine's window of k minors starts a new expansion.
+        spec, cache = family_spec("lucas2"), {}
+        terms = iterate_terms(spec, 12)
+        for n in (12, 3, 4, 11, 0, 12):
+            assert ENGINES["determinant"](spec, n, cache) == terms[n], n
 
     def test_symbolic_det_reads_the_band_without_a_matrix(self, monkeypatch):
         def refuse(coeffs, n):
