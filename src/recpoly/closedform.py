@@ -68,10 +68,10 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
     The compositions are walked as a tree: the counts i_k, ..., i_3 fix an
     outer node, which carries the prefix product prod_{j>=3} c_j^(i_j) and
     leaves n_1 = i_1 + 2 i_2 to the inner sum over i_2.  The inner sum
-    steps its multinomial coefficient exactly from one i_2 to the next and
-    collects sum M c_2^(i_2) c_1^(i_1) in one node map, one fused product
-    per composition; the node map then takes one fused product with the
-    prefix into the total.
+    steps its multinomial coefficient M exactly from one i_2 to the next and
+    collects sum M c_2^(i_2) c_1^(i_1) in one node map, in one kernel call
+    with M as each product's scale; the node map then takes one fused
+    product with the prefix into the total.
 
     ``power_cache`` may be shared across calls with the same coefficient
     list to reuse coefficient powers.
@@ -89,9 +89,22 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
         row = power_cache.setdefault(i, [{0: 1}])
         while len(row) <= e:
             nxt: dict[int, int] = {}
-            _addmul(nxt, variables, row[-1], coeffs[i].terms)
+            _addmul(nxt, variables, ((1, row[-1], coeffs[i].terms),))
             row.append(nxt)
         return row
+
+    def node_products(n1: int, rest: tuple[int, ...]):
+        # (M, c_2^(i_2), c_1^(i_1)) for i_2 = 0, 1, ... with i_1 = n1 - 2 i_2.
+        i1, s = n1, n1 + sum(rest)
+        coeff = multinomial((n1, 0, *rest))
+        p1, p2 = powers(0, n1), powers(1, n1 // 2)
+        for i2 in range(n1 // 2 + 1):
+            if i2:
+                # (i1, i2 - 1) -> (i1 - 2, i2): the count total s drops by one.
+                coeff = coeff * i1 * (i1 - 1) // (s * i2)
+                i1 -= 2
+                s -= 1
+            yield coeff, p2[i2], p1[i1]
 
     if k == 1:
         return _charged(variables, dict(powers(0, n)[n]))
@@ -112,7 +125,7 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
                 prefix = factor
             else:
                 product: dict[int, int] = {}
-                _addmul(product, variables, prefix, factor)
+                _addmul(product, variables, ((1, prefix, factor),))
                 prefix = product
         if j > 1:
             top = n1 // (j + 1)
@@ -125,44 +138,24 @@ def multinomial_term(coeffs: Sequence[MultiPoly], n: int,
             continue
         # The node with the prefix None sums into the total directly.
         node = total if prefix is None else {}
-        i1, s = n1, n1 + sum(rest)
-        coeff = multinomial((n1, 0, *rest))
-        p1, p2 = powers(0, n1), powers(1, n1 // 2)
-        for i2 in range(n1 // 2 + 1):
-            if i2:
-                # (i1, i2 - 1) -> (i1 - 2, i2): the count total s drops by one.
-                coeff = coeff * i1 * (i1 - 1) // (s * i2)
-                i1 -= 2
-                s -= 1
-            scaled = {key: c * coeff for key, c in p2[i2].items()}
-            _addmul(node, variables, scaled, p1[i1])
+        _addmul(node, variables, node_products(n1, rest))
         if prefix is not None:
-            _addmul(total, variables, prefix, node)
+            _addmul(total, variables, ((1, prefix, node),))
     return _charged(variables, total)
 
 
-def hessenberg_matrix(coeffs: Sequence[MultiPoly], n: int) -> list[list[MultiPoly]]:
+def hessenberg_matrix(coeffs: Sequence, n: int) -> list[list]:
     """The n x n banded Toeplitz Hessenberg matrix with first row (c_1..c_n).
 
     Entry (i, j) is c_{j-i+1} for j >= i (zero beyond the band), -1 on the
-    subdiagonal, zero below.
+    subdiagonal, zero below.  The coefficients may be polynomials or
+    integers; the zero and -1 entries are of the same kind.
     """
     k = len(coeffs)
-    variables = coeffs[0].variables
-    zero = MultiPoly.zero(variables)
-    minus_one = MultiPoly.const(variables, -1)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j >= i:
-                row.append(coeffs[j - i] if j - i < k else zero)
-            elif j == i - 1:
-                row.append(minus_one)
-            else:
-                row.append(zero)
-        rows.append(row)
-    return rows
+    zero = coeffs[0] * 0
+    minus_one = zero - 1
+    band = [*coeffs[:n], *[zero] * (n - k)]
+    return [[zero] * (i - 1) + [minus_one] + band[:n - i] if i else band for i in range(n)]
 
 
 def _hessenberg_minors(variables: tuple[str, ...], weights: Callable[[int], Sequence[MultiPoly]],
@@ -181,8 +174,8 @@ def _hessenberg_minors(variables: tuple[str, ...], weights: Callable[[int], Sequ
     yield recent[0]
     for m in itertools.count(1):
         acc: dict[int, int] = {}
-        for w, d in zip(weights(m), reversed(recent)):
-            _addmul(acc, variables, w.terms, d.terms)
+        _addmul(acc, variables,
+                ((1, w.terms, d.terms) for w, d in zip(weights(m), reversed(recent))))
         recent.append(_charged(variables, acc))
         yield recent[-1]
 
@@ -288,21 +281,18 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 
 def hessenberg_det_numeric_oracle(coeffs: Sequence[MultiPoly], n: int,
                                   point: Mapping[str, int]) -> int:
-    """Evaluate the literal n x n matrix at an integer point and take its
-    determinant by Bareiss elimination (deliberately not via the recurrence).
+    """Evaluate the coefficients at an integer point, build the literal
+    n x n integer matrix from them and take its determinant by Bareiss
+    elimination (deliberately not via the recurrence).
 
-    The matrix holds only k + 2 distinct entry objects (the coefficients,
-    zero and -1), so each is evaluated once.  Inside a term budget, a
-    matrix of more than ``budget`` entries is refused before it is built."""
+    Each coefficient is evaluated once.  Inside a term budget, a matrix of
+    more than ``budget`` entries is refused before it is built."""
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
     check_budget(n * n, "matrix entry count")
-    matrix = hessenberg_matrix(coeffs, n)
-    entries = {id(entry): entry for row in matrix for entry in row}
-    values = {key: entry.eval_int(point) for key, entry in entries.items()}
-    return bareiss_det([[values[id(entry)] for entry in row] for row in matrix])
+    return bareiss_det(hessenberg_matrix([c.eval_int(point) for c in coeffs], n))
 
 
 # -- generalized multivariate Lucas sequence ---------------------------------

@@ -18,22 +18,16 @@ def _closed_form(spec: RecurrenceSpec, n: int, b: Callable[[int], MultiPoly]) ->
     N_j = P_j - sum_{i<=j} c_i P_{j-i}, which decomposes any initial window
     over the delta-initial sequence.  Zero N_j are skipped, so delta
     initials, where N = (0, ..., 0, 1), cost the one call b(n-k+1).  Pairs
-    with a zero P_{j-i} are skipped too, and each -c_i is made once, on
-    first use.
+    with a zero P_{j-i} add nothing, and each c_i P_{j-i} enters with scale -1.
     """
     variables = spec.variables
-    negated: dict[int, dict[int, int]] = {}
     total: dict[int, int] = {}
     for j in range(min(spec.order - 1, n) + 1):
         nj = dict(spec.initial[j].terms)
-        for i in range(1, j + 1):
-            window = spec.initial[j - i].terms
-            if window:
-                if i not in negated:
-                    negated[i] = (-spec.coeffs[i - 1]).terms
-                _addmul(nj, variables, negated[i], window)
+        _addmul(nj, variables, [(-1, spec.coeffs[i - 1].terms, spec.initial[j - i].terms)
+                                for i in range(1, j + 1)])
         if nj:
-            _addmul(total, variables, nj, b(n - j).terms)
+            _addmul(total, variables, ((1, nj, b(n - j).terms),))
     return _charged(variables, total)
 
 

@@ -81,8 +81,7 @@ def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
     yield from spec.initial[: n_max + 1]
     for _ in range(spec.order, n_max + 1):
         acc: dict[int, int] = {}
-        for i, c in coeffs:
-            _addmul(acc, variables, c, window[-i].terms)
+        _addmul(acc, variables, [(1, c, window[-i].terms) for i, c in coeffs])
         nxt = _charged(variables, acc)
         window.append(nxt)
         yield nxt
@@ -112,8 +111,8 @@ def decompose_check(spec: RecurrenceSpec, n_max: int,
         basis = [basis_sequence(spec, j, n_max) for j in range(spec.order)]
     for n in range(n_max + 1):
         acc: dict[int, int] = {}
-        for i in range(spec.order):
-            _addmul(acc, spec.variables, spec.initial[i].terms, basis[i][n].terms)
+        _addmul(acc, spec.variables, [(1, spec.initial[i].terms, basis[i][n].terms)
+                                      for i in range(spec.order)])
         rhs = _charged(spec.variables, acc)
         if terms[n] != rhs:
             return False, (n, terms[n], rhs)
@@ -129,7 +128,7 @@ def _reduce(poly: list[dict[int, int]], spec: RecurrenceSpec) -> list[dict[int, 
         top = poly[d]
         if top:
             for i, c in enumerate(spec.coeffs, start=1):
-                _addmul(poly[d - i], spec.variables, top, c.terms)
+                _addmul(poly[d - i], spec.variables, ((1, top, c.terms),))
     return poly[:k]
 
 
@@ -154,14 +153,12 @@ def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:
         nonzero = [i for i in range(k) if r[i]]
         sq: list[dict[int, int]] = [{} for _ in range(2 * k - 1)]
         for a, i in enumerate(nonzero):
-            twice = {e: 2 * c for e, c in r[i].items()}
             for j in nonzero[a + 1:]:
-                _addmul(sq[i + j], variables, twice, r[j])
-            _addmul(sq[2 * i], variables, r[i], r[i])
+                _addmul(sq[i + j], variables, ((2, r[i], r[j]),))
+            _addmul(sq[2 * i], variables, ((1, r[i], r[i]),))
         if bit == "1":
             sq.insert(0, {})
         r = _reduce(sq, spec)
     acc: dict[int, int] = {}
-    for rj, pj in zip(r, spec.initial):
-        _addmul(acc, variables, rj, pj.terms)
+    _addmul(acc, variables, [(1, rj, pj.terms) for rj, pj in zip(r, spec.initial)])
     return _charged(variables, acc)

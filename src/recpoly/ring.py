@@ -7,15 +7,15 @@ they are safe to share across threads.  Operations are not quite pure:
 inside a :func:`term_budget` block, a sum or polynomial product with more
 terms than the limit raises :class:`BudgetExceededError`.
 
-A sum of products is built in one dict by the fused kernel ``_addmul``,
-which adds the product of two term maps into an accumulator in place, with
-no intermediate product or sum.  ``MultiPoly.__mul__`` is ``_addmul`` into
-an empty dict, and the engines, the determinant expansion and
-:class:`QuadExtElem` products accumulate their sums the same way.  The
-budget rule: ``_addmul`` checks the accumulator's term count against the
-limit after each fused product, and ``MultiPoly.__add__`` checks each sum.
-These are the only operations that grow a term map, so every engine is
-bounded by them.
+A sum of products is built in one dict by one call of the fused kernel
+``_addmul``, which adds sum scale * a * b over a stream of ``(scale, a, b)``
+term-map triples into an accumulator in place, with no intermediate
+product, scaled copy or sum.  ``MultiPoly.__mul__`` is one product into an
+empty dict, and the engines, the determinant expansion and
+:class:`QuadExtElem` products each build a sum in one call.  The budget
+rule: ``_addmul`` checks the accumulator's term count against the limit
+after each product, and ``MultiPoly.__add__`` checks each sum.  These are
+the only operations that grow a term map, so every engine is bounded by them.
 
 Each monomial key is its exponent vector packed into one int (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -213,7 +213,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         terms: dict[int, int] = {}
-        _addmul(terms, self.variables, self.terms, other.terms)
+        _addmul(terms, self.variables, ((1, self.terms, other.terms),))
         return _raw(self.variables, terms)
 
     __rmul__ = __mul__
@@ -360,32 +360,46 @@ def _raw(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
 
 
 def _addmul(acc: dict[int, int], variables: tuple[str, ...],
-            a: Mapping[int, int], b: Mapping[int, int]) -> None:
-    """Add the product of the term maps ``a`` and ``b`` into ``acc`` in place.
+            products: Iterable[tuple[int, Mapping[int, int], Mapping[int, int]]]) -> None:
+    """Add sum scale * a * b over the ``(scale, a, b)`` triples of ``products``
+    into the term map ``acc`` in place.
 
-    Raises :class:`StructuralError` before touching ``acc`` if the product's
-    total degree would exceed DEGREE_GUARD.  Zero coefficients are swept out
-    once at the end, and then the term count of ``acc`` is checked against
-    the term budget.
+    Product by product: one whose total degree would exceed DEGREE_GUARD
+    raises :class:`StructuralError` before it touches ``acc``, and after
+    each the term count of ``acc`` is checked against the term budget.  Zero
+    coefficients are swept out before a count is judged, and once at the end.
     """
-    if not (a and b):
-        return
-    # Without variables every key is 0 and no field can overflow.
-    if variables:
-        shift = len(variables) * _FIELD_BITS
-        degree = (max(a) >> shift) + (max(b) >> shift)
-        if degree > DEGREE_GUARD:
-            raise StructuralError(f"product of total degree {degree} exceeds guard {DEGREE_GUARD}")
+    shift = len(variables) * _FIELD_BITS
+    limit = _TERM_BUDGET.get()
     get = acc.get
-    b_items = list(b.items())
-    for ea, ca in a.items():
-        for eb, cb in b_items:
-            key = ea + eb
-            acc[key] = get(key, 0) + ca * cb
+    for scale, a, b in products:
+        if not (scale and a and b):
+            continue
+        # Without variables every key is 0 and no field can overflow.
+        if shift:
+            degree = (max(a) >> shift) + (max(b) >> shift)
+            if degree > DEGREE_GUARD:
+                _sweep(acc)
+                raise StructuralError(f"product of total degree {degree} exceeds guard {DEGREE_GUARD}")
+        if len(a) > len(b):
+            a, b = b, a
+        b = b.items()
+        for ea, ca in a.items():
+            if scale != 1:
+                ca *= scale
+            for eb, cb in b:
+                key = ea + eb
+                acc[key] = get(key, 0) + ca * cb
+        if limit is not None and len(acc) > limit:
+            _sweep(acc)
+            check_budget(len(acc), "term count")
     if 0 in acc.values():
-        for key in [key for key, coeff in acc.items() if not coeff]:
-            del acc[key]
-    check_budget(len(acc), "term count")
+        _sweep(acc)
+
+
+def _sweep(acc: dict[int, int]) -> None:
+    for key in [key for key, coeff in acc.items() if not coeff]:
+        del acc[key]
 
 
 def _charged(variables: tuple[str, ...], terms: dict[int, int]) -> MultiPoly:
@@ -434,14 +448,19 @@ class QuadExtElem:
             return QuadExtElem(self.u * other, self.v * other, self.delta)
         self._check(other)
         variables = self.delta.variables
+
+        def u_products():
+            # u1 u2 is added to u before v1 v2 is formed, as the budget sees it.
+            yield 1, self.u.terms, other.u.terms
+            vv: dict[int, int] = {}
+            _addmul(vv, variables, ((1, self.v.terms, other.v.terms),))
+            yield 1, self.delta.terms, vv
+
         u: dict[int, int] = {}
-        _addmul(u, variables, self.u.terms, other.u.terms)
-        vv: dict[int, int] = {}
-        _addmul(vv, variables, self.v.terms, other.v.terms)
-        _addmul(u, variables, self.delta.terms, vv)
+        _addmul(u, variables, u_products())
         v: dict[int, int] = {}
-        _addmul(v, variables, self.u.terms, other.v.terms)
-        _addmul(v, variables, other.u.terms, self.v.terms)
+        _addmul(v, variables, ((1, self.u.terms, other.v.terms),
+                               (1, other.u.terms, self.v.terms)))
         return QuadExtElem(_charged(variables, u), _charged(variables, v), self.delta)
 
     __rmul__ = __mul__

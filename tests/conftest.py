@@ -45,8 +45,8 @@ def integer_points(draw, variables: tuple[str, ...] = VARS, bound: int = 9):
 @pytest.fixture
 def ring_products(monkeypatch):
     """A one-item list holding the number of ring products so far: the
-    MultiPoly.__mul__ calls plus the products the engines add into a sum
-    in place (``_addmul``)."""
+    MultiPoly.__mul__ calls plus each product the engines add into a sum in
+    place (one ``(scale, a, b)`` item of an ``_addmul`` call)."""
     calls = [0]
     original = MultiPoly.__mul__
 
@@ -54,13 +54,17 @@ def ring_products(monkeypatch):
         calls[0] += 1
         return original(self, other)
 
+    def counted(products):
+        for product in products:
+            calls[0] += 1
+            yield product
+
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     for module in (closedform, engines, recurrence):
         fused = module._addmul
 
-        def counting_fused(*args, fused=fused):
-            calls[0] += 1
-            return fused(*args)
+        def counting_fused(acc, variables, products, fused=fused):
+            return fused(acc, variables, counted(products))
 
         monkeypatch.setattr(module, "_addmul", counting_fused)
     return calls

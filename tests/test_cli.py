@@ -201,10 +201,9 @@ class TestComputeTerm:
         assert calls == ([27] if engine == "multinomial" else list(range(28)))
 
     def test_each_coefficient_is_negated_at_most_once(self, monkeypatch):
-        # The numerator's -c_i is made once, on first use, and only for a
-        # nonzero P_{j-i}: at most k negations, none for delta initials.  The
-        # multinomial walk itself negates nothing, so every call counted here
-        # is the numerator's.
+        # The numerator's -c_i enters the fused product as a scale of -1, so
+        # no negation is made and the count is 0, within the bound of k.  The
+        # multinomial walk itself negates nothing either.
         negations = []
         original = MultiPoly.__neg__
         monkeypatch.setattr(MultiPoly, "__neg__",

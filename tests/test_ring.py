@@ -430,31 +430,64 @@ class TestFusedProducts:
     @given(st.data())
     def test_addmul_is_the_sum_of_products(self, data):
         # Small exponents and coefficients make products collide and cancel;
-        # the pair (-a, b) after (a, b) cancels a whole product.
+        # the product (-s, a, b) after (s, a, b) cancels a whole product, and
+        # a scale of 0 adds nothing.
         variables = data.draw(SMALL_VARIABLE_LISTS)
         maps = term_maps(variables, max_terms=4, max_exp=2, coeff_bound=3).map(ref_normalize)
+        scales = st.integers(min_value=-2, max_value=2)
         start = data.draw(maps)
-        pairs = data.draw(st.lists(st.tuples(maps, maps), min_size=1, max_size=4))
+        products = data.draw(st.lists(st.tuples(scales, maps, maps), min_size=1, max_size=4))
         if data.draw(st.booleans()):
-            a, b = pairs[0]
-            pairs.append(({e: -c for e, c in a.items()}, b))
+            s, a, b = products[0]
+            products.append((-s, a, b))
         acc = dict(MultiPoly(variables, start).terms)
         expected, reference = MultiPoly(variables, start), start
-        for a, b in pairs:
+        for s, a, b in products:
             pa, pb = MultiPoly(variables, a), MultiPoly(variables, b)
-            _addmul(acc, variables, pa.terms, pb.terms)
-            assert 0 not in acc.values()
-            expected = expected + pa * pb
-            reference = ref_add(reference, ref_mul(a, b))
+            expected = expected + pa * pb * s
+            reference = ref_add(reference, {e: s * c for e, c in ref_mul(a, b).items()})
+        _addmul(acc, variables, [(s, MultiPoly(variables, a).terms, MultiPoly(variables, b).terms)
+                                 for s, a, b in products])
+        assert 0 not in acc.values()
         assert acc == expected.terms == MultiPoly(variables, reference).terms
+
+    def test_zero_scale_and_cancelling_products_leave_no_zero(self):
+        x = MultiPoly.var("x", X)
+        one = MultiPoly.const(X, 1)
+        acc = dict((x + 1).terms)
+        # x + 1 + 0 + 2x(x + 1) - 2(x + 1)x - 1 = x
+        _addmul(acc, X, [(0, x.terms, x.terms), (2, x.terms, (x + 1).terms),
+                         (-2, (x + 1).terms, x.terms), (-1, one.terms, one.terms)])
+        assert acc == x.terms
 
     def test_degree_guard_trips_before_acc_changes(self):
         x = MultiPoly.var("x", X)
+        one = MultiPoly.const(X, 1)
         top = x**DEGREE_GUARD
         acc = dict((x + 1).terms)
         with pytest.raises(StructuralError):
-            _addmul(acc, X, top.terms, x.terms)
+            _addmul(acc, X, [(1, top.terms, x.terms)])
         assert acc == (x + 1).terms
+        # A later product over the guard raises with the earlier products
+        # added (their zeros swept) and nothing of its own or after it.
+        with pytest.raises(StructuralError):
+            _addmul(acc, X, [(1, x.terms, x.terms), (-1, one.terms, one.terms),
+                             (1, top.terms, x.terms), (1, x.terms, x.terms)])
+        assert acc == (x**2 + x).terms
+
+    def test_budget_trips_in_the_middle_of_a_sum(self):
+        v = ("x", "y", "z")
+        x, y, z = (MultiPoly.var(name, v).terms for name in v)
+        one = MultiPoly.const(v, 1).terms
+        xy = (MultiPoly.var("x", v) * MultiPoly.var("y", v)).terms
+        acc: dict = {}
+        # x, x + y, y (a zero x held), y + z: zeros are swept before a count
+        # is judged, so y + z fits a budget of 2 and y + z + xy does not.
+        with term_budget(2):
+            with pytest.raises(BudgetExceededError, match="^term count 3 exceeds budget 2$"):
+                _addmul(acc, v, [(1, x, one), (1, y, one), (-1, x, one), (1, z, one),
+                                 (1, xy, one), (1, x, one)])
+        assert acc == MultiPoly(v, {(0, 1, 0): 1, (0, 0, 1): 1, (1, 1, 0): 1}).terms
 
     def test_degree_guard_trips_in_fused_engines(self):
         x = MultiPoly.var("x", X)
