@@ -22,6 +22,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binet import binet_multiple, char_roots
@@ -32,8 +33,8 @@ from .closedform import (
     hessenberg_minors,
 )
 from .errors import StructuralError
-from .recurrence import RecurrenceSpec, iterate_terms
-from .ring import MultiPoly, QuadExtElem
+from .recurrence import RecurrenceSpec, iter_terms, iterate_terms
+from .ring import MultiPoly, QuadExtElem, _addmul, _charged
 
 NUMERIC_REL_TOL = 1e-8
 
@@ -86,11 +87,7 @@ class Order2Family:
         """
         if n == 0:
             return MultiPoly.zero(self.variables)
-        m = n - 1
-        total = MultiPoly.zero(self.variables)
-        for i in range(m // 2 + 1):
-            total = total + math.comb(m - i, i) * self.q1 ** (m - 2 * i) * self.q2**i
-        return total
+        return self._explicit(n - 1, lambda i: math.comb(n - 1 - i, i))
 
     def lucas_explicit(self, n: int) -> MultiPoly:
         """L_n = sum_i n/(n-i) binom(n-i, i) q1^(n-2i) q2^i for n >= 1.
@@ -100,10 +97,21 @@ class Order2Family:
         """
         if n < 1:
             raise StructuralError("the explicit Lucas sum is stated for n >= 1")
-        total = MultiPoly.zero(self.variables)
-        for i in range(n // 2 + 1):
-            total = total + lucas_weight(n, i) * self.q1 ** (n - 2 * i) * self.q2**i
-        return total
+        return self._explicit(n, lambda i: lucas_weight(n, i))
+
+    def _explicit(self, top: int, weight: Callable[[int], int]) -> MultiPoly:
+        """sum_i weight(i) q1^(top-2i) q2^i, i <= top/2, by running powers in one kernel call."""
+        one = MultiPoly.const(self.variables, 1)
+        q1, q2 = (list(accumulate(repeat(q, k), MultiPoly.__mul__, initial=one))
+                  for q, k in ((self.q1, top), (self.q2, top // 2)))
+        return _sum(*((weight(i), q1[top - 2 * i], q2[i]) for i in range(top // 2 + 1)))
+
+
+def _sum(*products: tuple[int, MultiPoly, MultiPoly]) -> MultiPoly:
+    """sum scale * a * b over the ``(scale, a, b)`` triples, in one kernel call."""
+    variables, acc = products[0][1].variables, {}
+    _addmul(acc, variables, ((c, a.terms, b.terms) for c, a, b in products))
+    return _charged(variables, acc)
 
 
 def lucas_weight(n: int, i: int) -> int:
@@ -318,26 +326,39 @@ def _quadext_cases(s: _Store, N: int, M: int, dickson: bool, sign: int,
     2^{m-1}(L_{nm} + sign * sqrt(delta) * F_{nm}) for m >= 1; on the Dickson
     family it is D_n + sign * sqrt(delta) * E_{n-1} for n >= 1, and E_{nm-1}
     replaces F_{nm}.  ``summed`` checks the conjugate sum, 2^m L_{nm} (or
-    2^m D_{nm}) for m >= 0, instead.  Conjugation is a ring automorphism,
-    so the conjugate's power is conj(base)^m = conj(base^m) and costs no
-    product.
+    2^m D_{nm}) for m >= 0, instead.
+
+    No extension product is formed: by Cayley-Hamilton both components of z^m
+    follow an order-2 recurrence in m (:func:`_power_chains`) whose coefficients
+    are exact, from the stored base.  z^m + conj(z^m) = 2 u_m reads u_m alone.
     """
     shift = int(dickson)
     L, F, delta = (s.D, s.E, s.dickson.delta()) if dickson else (s.L, s.F, s.fam.delta())
     zero = MultiPoly.zero(delta.variables)
+    if M < (0 if summed else 1):  # no power to check
+        return
     for n in range(shift, N + 1):
-        base = QuadExtElem(L[n], sign * F[n - shift], delta)
-        power = None
-        for m in range(0 if summed else 1, M + 1):
-            # m runs contiguously, so each power is the previous one times base.
-            power = base**m if power is None else power * base
+        us, vs = _power_chains(L[n], sign * F[n - shift], delta, M)
+        for m, (u_m, v_m) in enumerate(zip(us, repeat(zero) if summed else vs)):
             if summed:
-                rhs = QuadExtElem(2**m * L[n * m], zero, delta)
-                yield {"n": n, "m": m}, power + power.conjugate(), rhs
-            else:
-                rhs = QuadExtElem(2 ** (m - 1) * L[n * m],
-                                  sign * 2 ** (m - 1) * F[n * m - shift], delta)
-                yield {"n": n, "m": m}, power, rhs
+                yield {"n": n, "m": m}, QuadExtElem(2 * u_m, zero, delta), QuadExtElem(
+                    2**m * L[n * m], zero, delta)
+            elif m:
+                yield {"n": n, "m": m}, QuadExtElem(u_m, v_m, delta), QuadExtElem(
+                    2 ** (m - 1) * L[n * m], sign * 2 ** (m - 1) * F[n * m - shift], delta)
+
+
+def _power_chains(u: MultiPoly, v: MultiPoly, delta: MultiPoly,
+                  M: int) -> tuple[Iterator[MultiPoly], Iterator[MultiPoly]]:
+    """Lazy chains of u_m and v_m, m = 0..M, for z^m = u_m + v_m sqrt(delta)
+    and z = u + v sqrt(delta).  By Cayley-Hamilton z^2 = 2u z - N with the
+    norm N = u^2 - delta v^2, so each component follows the recurrence
+    P_{m+2} = 2u P_{m+1} - N P_m from (1, u) for u_m and (0, v) for v_m: two
+    ring products a step, where an extension product costs four."""
+    variables = delta.variables
+    minus_norm = _sum((-1, u, u), (1, delta, v * v))
+    spec = RecurrenceSpec.make(variables, [2 * u, minus_norm], [MultiPoly.const(variables, 1), u])
+    return iter_terms(spec, M), iter_terms(spec.with_initial([MultiPoly.zero(variables), v]), M)
 
 
 def _power(dickson: bool, sign: int, summed: bool) -> _Entry:
@@ -349,11 +370,18 @@ def _power(dickson: bool, sign: int, summed: bool) -> _Entry:
 
 
 def _cases_4_9(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    q2_L = [s.q2 * s.L[q] for q in range(max(N, P) + 1)]
     for n in range(1, N + 1):
         for p in (*range(P + 1), "n"):  # then the stated specialization p = n
             q = n if p == "n" else p
             yield ({"n": n, "p": p}, s.L[n + q],
-                   s.q2 * s.L[q] * s.F[n - 1] + s.L[q + 1] * s.F[n])
+                   _sum((1, q2_L[q], s.F[n - 1]), (1, s.L[q + 1], s.F[n])))
+
+
+def _square_sum(top: MultiPoly, mid: MultiPoly, low: MultiPoly, q2: MultiPoly) -> MultiPoly:
+    """top^2 + 2 q2 mid^2 + (q2 low)^2, the right side of thm-4.11 and thm-5.7-d2."""
+    q2_low = q2 * low
+    return _sum((1, top, top), (2, q2 * mid, mid), (1, q2_low, q2_low))
 
 
 def _cases_4_13(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
@@ -383,7 +411,7 @@ def _d2(shift: int) -> _Entry:
     """thm-5.7-d2: the corrected form leads with E_n^2 (shift 0); the
     published form prints E_{n+1}^2 (shift 1)."""
     return _Entry(lambda N, P, M: {"D": 2 * N, "E": N + shift}, _each_n(2, lambda s, n: (
-        s.D[2 * n], s.E[n + shift] ** 2 - 2 * s.a * s.E[n - 1] ** 2 + s.a**2 * s.E[n - 2] ** 2)))
+        s.D[2 * n], _square_sum(s.E[n + shift], s.E[n - 1], s.E[n - 2], s.dickson.q2))))
 
 
 def _thm_2_6(sign: str) -> _Entry:
@@ -470,7 +498,7 @@ _CATALOG: dict[str, Callable[..., Iterator[Case]]] = {
         0, lambda s, n: (2 * s.L[n + 1] - s.q1 * s.L[n], s.fam.delta() * s.F[n]))),
     "thm-4.9": _Entry(lambda N, P, M: {"F": N, "L": N + max(N, P)}, _cases_4_9),
     "thm-4.11": _Entry(lambda N, P, M: {"F": N + 1, "L": 2 * N}, _each_n(1, lambda s, n: (
-        s.L[2 * n], s.F[n + 1] ** 2 + 2 * s.q2 * s.F[n] ** 2 + s.q2**2 * s.F[n - 1] ** 2))),
+        s.L[2 * n], _square_sum(s.F[n + 1], s.F[n], s.F[n - 1], s.q2)))),
     "thm-4.13": _Entry(lambda N, P, M: {"F": N + 1}, _cases_4_13),
     "thm-4.15": _Entry(lambda N, P, M: {"F": N + 1, "L": N}, _each_n(
         0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n]))),
@@ -494,10 +522,10 @@ _CATALOG: dict[str, Callable[..., Iterator[Case]]] = {
     "thm-5.7-b": _Entry(lambda N, P, M: {"D": N + 1, "E": N - 1}, _each_n(
         1, lambda s, n: (2 * s.D[n + 1] - s.x * s.D[n], s.dickson.delta() * s.E[n - 1]))),
     "thm-5.7-c": _Entry(lambda N, P, M: {"D": N + P, "E": N - 1}, lambda s, N, P, M: (
-        ({"n": n, "p": p}, s.D[n + p], s.D[p + 1] * s.E[n - 1] - s.a * s.D[p] * s.E[n - 2])
-        for n in range(2, N + 1) for p in range(P + 1))),
-    "thm-5.7-d1": _Entry(lambda N, P, M: {"D": 2 * N, "E": N - 1}, _each_n(
-        2, lambda s, n: (s.D[2 * n], s.D[n + 1] * s.E[n - 1] - s.a * s.D[n] * s.E[n - 2]))),
+        ({"n": n, "p": p}, s.D[n + p], _sum((1, s.D[p + 1], s.E[n - 1]), (-1, s.D[p], a_E)))
+        for n in range(2, N + 1) for a_E in (s.a * s.E[n - 2],) for p in range(P + 1))),
+    "thm-5.7-d1": _Entry(lambda N, P, M: {"D": 2 * N, "E": N - 1}, _each_n(2, lambda s, n: (
+        s.D[2 * n], _sum((1, s.D[n + 1], s.E[n - 1]), (-1, s.D[n], s.a * s.E[n - 2]))))),
     "thm-5.7-d2": _d2(0),
     "thm-5.7-d2-as-printed": _d2(1),
     "thm-5.7-e": _Entry(lambda N, P, M: {"D": N, "E": N}, _each_n(

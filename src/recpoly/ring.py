@@ -37,7 +37,9 @@ unifying variables.
 
 :class:`QuadExtElem` extends the polynomial ring by a square root of a fixed
 discriminant polynomial, with multiplication reduced by the defining
-relation (sqrt(delta))^2 = delta.
+relation (sqrt(delta))^2 = delta.  The identity catalog forms no extension
+product (its powers follow an order-2 recurrence); the class stays public for
+the power identities' sides and witnesses, and perfbench's tracer names it.
 """
 
 from __future__ import annotations

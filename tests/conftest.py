@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from recpoly import MultiPoly, closedform, engines, recurrence
+from recpoly import MultiPoly, closedform, engines, families, recurrence
 from recpoly.ring import DEGREE_GUARD
 
 VARS = ("x", "y", "z")
@@ -60,7 +60,7 @@ def ring_products(monkeypatch):
             yield product
 
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
-    for module in (closedform, engines, recurrence):
+    for module in (closedform, engines, families, recurrence):
         fused = module._addmul
 
         def counting_fused(acc, variables, products, fused=fused):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recpoly import (
@@ -18,9 +18,11 @@ from recpoly import (
     dickson_E_det,
     dickson_family,
     generic_family,
+    parse_poly,
     tridiag_closed_form_check,
 )
-from recpoly import families
+from conftest import VARS, multipolys
+from recpoly import QuadExtElem, families
 from recpoly.closedform import hessenberg_det
 from recpoly.families import dickson_E_det_signflip_check, lu_det, lucas_weight
 
@@ -54,6 +56,19 @@ class TestClassicalFamily:
     def test_lucas_explicit_needs_positive_index(self):
         with pytest.raises(StructuralError):
             classical_family().lucas_explicit(0)
+
+
+class TestExplicitSums:
+    @pytest.mark.parametrize("q1, q2", [("x + 2*y - 1", "x*y + 3*z^2 - 2"),
+                                        ("0", "x - y + 2"),
+                                        ("3*x + y^2", "0")])
+    def test_explicit_sums_follow_the_recurrence(self, q1, q2):
+        fam = Order2Family(parse_poly(q1, VARS), parse_poly(q2, VARS))
+        fib, lucas = fam.fib_list(12), fam.lucas_list(12)
+        for n in range(13):
+            assert fam.fib_explicit(n) == fib[n]
+            if n >= 1:
+                assert fam.lucas_explicit(n) == lucas[n]
 
 
 class TestLucasWeight:
@@ -201,6 +216,35 @@ class TestLuDet:
         # det 0, so its rounding error has no scale of its own.
         scale = math.prod(max(1.0, math.hypot(*row)) for row in rows)
         assert abs(lu_det(rows) - bareiss_det(rows)) <= 1e-9 * scale
+
+
+X_Y = ("x", "y")
+U_ = MultiPoly.var("x", X_Y) + 2 * MultiPoly.var("y", X_Y)
+
+
+class TestPowerChains:
+    small = multipolys(X_Y, max_terms=3, max_exp=2, coeff_bound=20)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small, small, small, st.sampled_from([1, -1]))
+    @example(U_, MultiPoly.zero(X_Y), U_ * U_ + 1, 1)  # v = 0
+    @example(U_, U_ - 1, U_ * U_ + 3, -1)  # N = u^2 - delta v^2 is not a monomial
+    def test_chains_are_the_extension_powers(self, u, v, delta, sign):
+        us, vs = families._power_chains(u, sign * v, delta, 8)
+        z = QuadExtElem(u, sign * v, delta)
+        assert [QuadExtElem(u_m, v_m, delta) for u_m, v_m in zip(us, vs)] == \
+            [z**m for m in range(9)]
+
+    def test_power_ids_form_no_extension_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an extension product was formed")
+
+        for method in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(QuadExtElem, method, refuse)
+        for identity_id in ("thm-4.21-3", "thm-4.21-4", "thm-4.21-5",
+                            "thm-5.6-1", "thm-5.6-2", "thm-5.6-3"):
+            report = check_identity(identity_id, n_max=10, m_max=5)
+            assert report.passed, report.witness
 
 
 class TestIdentityCatalog:
