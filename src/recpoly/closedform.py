@@ -337,12 +337,7 @@ def generalized_lucas_closed_form(k: int, n: int, sign: str = "derived") -> Mult
     if n < k - 1:
         return MultiPoly.zero(variables)
     m = n - k + 1
-    total = MultiPoly.zero(variables)
-    for counts in weighted_compositions(k, m):
-        coeff = multinomial(counts)
-        parity = (m if sign == "derived" else k) + sum(counts)
-        if parity % 2:
-            coeff = -coeff
-        exps = tuple(counts)
-        total = total + MultiPoly(variables, {exps: coeff})
-    return total
+    # The compositions are distinct monomials, so one constructor call sums them.
+    return _charged(variables, MultiPoly(variables, {
+        counts: (-1) ** ((m if sign == "derived" else k) + sum(counts)) * multinomial(counts)
+        for counts in weighted_compositions(k, m)}).terms)

@@ -7,7 +7,7 @@ from typing import Callable, Iterator
 
 from .closedform import band_minors, multinomial_term
 from .errors import StructuralError
-from .recurrence import RecurrenceSpec, companion_power_term, iter_terms
+from .recurrence import RecurrenceSpec, companion_power_term, companion_terms, iter_terms
 from .ring import MultiPoly, _addmul, _charged
 
 
@@ -85,10 +85,11 @@ def compute_term(spec: RecurrenceSpec, n: int, engine: str) -> MultiPoly:
 
 
 def table_terms(spec: RecurrenceSpec, n_max: int, engine: str) -> Iterator[MultiPoly]:
-    """P_0, ..., P_{n_max} by the named engine; iteration yields each step's term."""
+    """P_0, ..., P_{n_max} by the named engine; iterate and companion stream their rows."""
     if n_max < 0:
         raise StructuralError(f"n_max must be >= 0, got {n_max}")
-    if engine == "iterate":
-        return iter_terms(spec, n_max)
+    rows = {"iterate": iter_terms, "companion": companion_terms}.get(engine)
+    if rows:
+        return rows(spec, n_max)
     fn, cache = _engine(engine), {}  # one cache for every row
     return (fn(spec, n, cache) for n in range(n_max + 1))

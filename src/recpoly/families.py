@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .binet import binet_multiple, char_roots
 from .closedform import (
     band_minors,
-    generalized_lucas,
     generalized_lucas_closed_form,
+    generalized_lucas_spec,
     hessenberg_minors,
 )
 from .errors import StructuralError
@@ -418,8 +418,9 @@ def _thm_2_6(sign: str) -> _Entry:
     """thm-2.6-sign: the generalized Lucas closed form with the derived or
     the printed sign, for k = 2..4 and n <= min(n_max, 15)."""
     return _Entry(lambda N, P, M: {}, lambda s, N, P, M: (
-        ({"k": k, "n": n}, generalized_lucas(k, n), generalized_lucas_closed_form(k, n, sign=sign))
-        for k in (2, 3, 4) for n in range(min(N, 15) + 1)))
+        ({"k": k, "n": n}, term, generalized_lucas_closed_form(k, n, sign=sign))
+        for k in ((2, 3, 4) if N >= 0 else ())
+        for n, term in enumerate(iter_terms(generalized_lucas_spec(k), min(N, 15)))))
 
 
 def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,

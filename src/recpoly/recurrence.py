@@ -7,11 +7,12 @@ and never stored.
 
 Engines here are plain iteration, the delta-initial basis sequences, the
 decomposition of an arbitrary solution over those basis sequences, and
-Fiduccia's method (SIAM J. Comput. 14(1), 1985), which reduces X^n modulo
-the characteristic polynomial by binary powering and reads P_n off the
-initial window.  Symbolic terms can grow quickly for multivariate
-coefficients; run an engine inside :func:`recpoly.ring.term_budget` to make
-it fail cleanly once any sum or product it builds exceeds a term count.
+Fiduccia's method (SIAM J. Comput. 14(1), 1985) on remainders modulo the
+characteristic polynomial chi: a term ends in an exact bilinear form, not a
+last squaring, and a table shifts X^n mod chi one row at a time.  Symbolic
+terms can grow quickly for multivariate coefficients; run an engine inside
+:func:`recpoly.ring.term_budget` to make it fail cleanly once any sum or
+product it builds exceeds a term count.
 """
 
 from __future__ import annotations
@@ -132,12 +133,40 @@ def _reduce(poly: list[dict[int, int]], spec: RecurrenceSpec) -> list[dict[int, 
     return poly[:k]
 
 
+def _shift(r: list[dict[int, int]], spec: RecurrenceSpec) -> list[dict[int, int]]:
+    """X*R mod chi, one product per coefficient; R is left as it was."""
+    return _reduce([{}, *map(dict, r[:-1]), r[-1]], spec)
+
+
+def _read(r: list[dict[int, int]], spec: RecurrenceSpec) -> dict[int, int]:
+    """L(R) = sum_i r_i P_i.  L(X^m) = P_m and L vanishes on multiples of chi
+    (they are shifts of the recurrence), so L(X^m mod chi) = P_m exactly."""
+    acc: dict[int, int] = {}
+    _addmul(acc, spec.variables, [(1, ri, p.terms) for ri, p in zip(r, spec.initial)])
+    return acc
+
+
+def companion_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
+    """Yield P_0, ..., P_{n_max} as L(R_n) with R_0 = 1 and R_{n+1} = X*R_n mod
+    chi: one shift-and-reduce and one read per row, at most 2k products."""
+    if n_max < 0:
+        raise StructuralError(f"n_max must be >= 0, got {n_max}")
+    r = [{0: 1}] + [{} for _ in range(spec.order - 1)]
+    for n in range(n_max + 1):
+        if n:
+            r = _shift(r, spec)
+        yield _charged(spec.variables, _read(r, spec))
+
+
 def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:
-    """P_n by Fiduccia's method: R(X) = X^n mod chi(X), then P_n = sum_j r_j P_j.
+    """P_n by Fiduccia's method: R(X) = X^h mod chi(X) for n = 2h + b, then
+    P_n = L(X^b R^2) = sum_j r_j L(X^(j+b) R) with the read :func:`_read`.
 
     R is built by left-to-right binary powering: each bit squares R and
     reduces it, and a set bit multiplies by X (a shift plus one reduction).
-    A step costs O(k^2) ring products, and any initial window works.
+    A step costs O(k^2) ring products, and any initial window works.  The
+    finish shifts R at most k times and multiplies k pairs of half-size
+    factors, where squaring R would take k(k+1)/2 and a full-size reduction.
     """
     if n < 0:
         raise StructuralError(f"n must be >= 0, got {n}")
@@ -145,10 +174,10 @@ def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:
     if n < k:
         return spec.initial[n]
     variables = spec.variables
-    # R as term maps.  The leading bit of n gives R = X mod chi (a reduction
-    # only when k = 1).
-    r = _reduce([{}, {0: 1}] + [{} for _ in range(k - 1)], spec)
-    for bit in bin(n)[3:]:
+    # R as term maps: 1, then X mod chi for the leading bit of h.
+    h, r = n >> 1, [{0: 1}] + [{} for _ in range(k - 1)]
+    r = _shift(r, spec) if h else r
+    for bit in bin(h)[3:]:
         # R^2 from the products r_i r_j with i <= j: cross terms count twice.
         nonzero = [i for i in range(k) if r[i]]
         sq: list[dict[int, int]] = [{} for _ in range(2 * k - 1)]
@@ -159,6 +188,15 @@ def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:
         if bit == "1":
             sq.insert(0, {})
         r = _reduce(sq, spec)
+
+    def products():
+        t = _shift(r, spec) if n & 1 else r
+        for j, rj in enumerate(r):
+            if j:
+                t = _shift(t, spec)
+            if rj:
+                yield 1, rj, _read(t, spec)
+
     acc: dict[int, int] = {}
-    _addmul(acc, variables, [(1, rj, pj.terms) for rj, pj in zip(r, spec.initial)])
+    _addmul(acc, variables, products())
     return _charged(variables, acc)

@@ -297,12 +297,15 @@ class MultiPoly:
         """
         if not self.terms:
             return "0"
-        nvars = len(self.variables)
+        # One (name, shift) per variable: an exponent is one shift and one mask.
+        last = len(self.variables) - 1
+        fields = [(name, (last - i) * _FIELD_BITS) for i, name in enumerate(self.variables)]
         pieces = []
         for idx, key in enumerate(sorted(self.terms, reverse=True)):
             coeff = self.terms[key]
             factors = []
-            for name, e in zip(self.variables, _unpack(key, nvars)):
+            for name, shift in fields:
+                e = key >> shift & _FIELD_MASK
                 if e == 1:
                     factors.append(name)
                 elif e > 1:

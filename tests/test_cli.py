@@ -408,6 +408,18 @@ class TestTableCommand:
                            "--engine", "multinomial")
         assert out_it == out_mn
 
+    @pytest.mark.parametrize("family", [
+        ["--family", "fibonacci2", "--n-max", "80"],
+        ["--family", "dickson-d", "--n-max", "60"],
+        ["--family", "generalized-lucas", "--order", "3", "--n-max", "30"],
+        ["--family", "generalized-lucas", "--order", "4", "--n-max", "30"],
+    ])
+    def test_companion_table_prints_the_iterate_bytes(self, capsys, family):
+        code_it, out_it, _ = run(capsys, "table", *family)
+        code_cp, out_cp, _ = run(capsys, "table", *family, "--engine", "companion")
+        assert code_it == code_cp == 0
+        assert out_cp == out_it
+
     @pytest.mark.parametrize("engine", ["iterate", "companion"])
     def test_json_lines_rows_carry_their_own_time(self, capsys, engine):
         code, out, _ = run(capsys, "table", "--family", "generalized-lucas", "--order", "3",

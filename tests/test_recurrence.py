@@ -17,10 +17,11 @@ from recpoly import (
     term_budget,
 )
 from conftest import VARS, multipolys
+from recpoly import engines, recurrence
 from recpoly.closedform import generalized_lucas_spec
-from recpoly.engines import ENGINES, compute_term
+from recpoly.engines import ENGINES, compute_term, table_terms
 from recpoly.specfile import family_spec
-from support import random_delta_spec, random_general_spec
+from support import random_delta_spec, random_general_spec, random_poly
 
 
 @st.composite
@@ -241,6 +242,20 @@ class TestCompanionEngine:
             )
             assert stepped == terms[n + spec.order]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_iteration_at_every_small_n_and_random_n(self, k):
+        # Every n up to 2k + 3 covers n < k, h < k and both parities of the
+        # bilinear finish; general windows make every read L(T) a full sum.
+        rng = random.Random(100 + k)
+        for _ in range(4):
+            variables = ("x", "y")[: rng.randint(0, 2)]
+            spec = RecurrenceSpec.make(variables,
+                                       [random_poly(rng, variables) for _ in range(k)],
+                                       [random_poly(rng, variables) for _ in range(k)])
+            terms = iterate_terms(spec, 80)
+            for n in [*range(2 * k + 4), *rng.sample(range(2 * k + 4, 81), 6)]:
+                assert companion_power_term(spec, n) == terms[n], (spec, n)
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             with term_budget(5):
@@ -249,3 +264,46 @@ class TestCompanionEngine:
     def test_negative_n_rejected(self):
         with pytest.raises(StructuralError):
             companion_power_term(fib_spec(), -2)
+
+
+class TestCompanionTable:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=general_specs(), n_max=st.integers(min_value=0, max_value=40),
+           budget=st.one_of(st.none(), st.integers(min_value=1, max_value=30)))
+    def test_rows_match_iteration(self, spec, n_max, budget):
+        # Under a budget the table either stops or yields the unbudgeted rows.
+        want = iterate_terms(spec, n_max)
+        try:
+            with term_budget(budget):
+                got = list(table_terms(spec, n_max, "companion"))
+        except BudgetExceededError:
+            assert budget is not None
+            return
+        assert got == want
+
+    def test_term_and_table_do_not_iterate(self, monkeypatch):
+        spec = generalized_lucas_spec(3)
+        want = iterate_terms(spec, 30)
+
+        def refuse(*args):
+            raise AssertionError("the companion engine iterated the recurrence")
+
+        for module, name in ((recurrence, "iter_terms"), (recurrence, "iterate_terms"),
+                             (engines, "iter_terms")):
+            monkeypatch.setattr(module, name, refuse)
+        assert compute_term(spec, 30, "companion") == want[30]
+        assert list(table_terms(spec, 30, "companion")) == want
+
+    @pytest.mark.parametrize("spec, n_max", [
+        (generalized_lucas_spec(4), 40),
+        (family_spec("dickson-d"), 60),
+        (family_spec("fibonacci2"), 60),
+    ])
+    def test_each_row_costs_at_most_2k_products(self, ring_products, spec, n_max):
+        rows = list(table_terms(spec, n_max, "companion"))
+        assert ring_products[0] <= 2 * spec.order * (n_max + 1)
+        assert rows == iterate_terms(spec, n_max)
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(StructuralError):
+            next(recurrence.companion_terms(fib_spec(), -1))
