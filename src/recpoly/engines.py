@@ -1,8 +1,13 @@
-"""The engines for P_n, by name: ``ENGINES`` is the one place they are listed."""
+"""The engines for P_n, by name: ``ENGINES`` is the one place they are listed.
+
+Each engine streams the rows P_n of one ascending index range: a term is the
+range n..n, a table the range 0..n_max, and nothing is kept between calls.
+"""
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Callable, Iterator
 
 from .closedform import band_minors, multinomial_term
@@ -11,85 +16,76 @@ from .recurrence import RecurrenceSpec, companion_power_term, companion_terms, i
 from .ring import MultiPoly, _addmul, _charged
 
 
-def _closed_form(spec: RecurrenceSpec, n: int, b: Callable[[int], MultiPoly]) -> MultiPoly:
+def _closed_form(spec: RecurrenceSpec, ns: range,
+                 b: Callable[[int], MultiPoly]) -> Iterator[MultiPoly]:
     """P_n from a closed form's delta-initial sequence b(m) = P^(k-1)_{m+k-1}.
 
     Generating-function numerator (Lemma 4.4): P_n = sum_j N_j b(n-j) with
     N_j = P_j - sum_{i<=j} c_i P_{j-i}, which decomposes any initial window
-    over the delta-initial sequence.  Zero N_j are skipped, so delta
-    initials, where N = (0, ..., 0, 1), cost the one call b(n-k+1).  Pairs
-    with a zero P_{j-i} add nothing, and each c_i P_{j-i} enters with scale -1.
+    over the delta-initial sequence.  Each N_j is formed once, at the first
+    row that reads it, just before its b(n-j).  Zero N_j are skipped, so
+    delta initials, where N = (0, ..., 0, 1), cost the one call b(n-k+1) a
+    row.  Pairs with a zero P_{j-i} add nothing, and each c_i P_{j-i} enters
+    with scale -1.
     """
-    variables = spec.variables
-    total: dict[int, int] = {}
-    for j in range(min(spec.order - 1, n) + 1):
-        nj = dict(spec.initial[j].terms)
-        _addmul(nj, variables, [(-1, spec.coeffs[i - 1].terms, spec.initial[j - i].terms)
-                                for i in range(1, j + 1)])
-        if nj:
-            _addmul(total, variables, ((1, nj, b(n - j).terms),))
-    return _charged(variables, total)
+    variables, numerators = spec.variables, []
+    for n in ns:
+        total: dict[int, int] = {}
+        for j in range(min(spec.order - 1, n) + 1):
+            if j == len(numerators):
+                nj = dict(spec.initial[j].terms)
+                _addmul(nj, variables, [(-1, spec.coeffs[i - 1].terms, spec.initial[j - i].terms)
+                                        for i in range(1, j + 1)])
+                numerators.append(nj)
+            if numerators[j]:
+                _addmul(total, variables, ((1, numerators[j], b(n - j).terms),))
+        yield _charged(variables, total)
 
 
-def _iterate(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
-    for term in iter_terms(spec, n):
-        pass
-    return term
+def _multinomial(spec: RecurrenceSpec, ns: range) -> Iterator[MultiPoly]:
+    powers: dict = {}  # the coefficient powers, shared by every row
+    return _closed_form(spec, ns, lambda m: multinomial_term(spec.coeffs, m, power_cache=powers))
 
 
-def _multinomial(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
-    # The cache holds the coefficient powers.
-    return _closed_form(spec, n, lambda m: multinomial_term(spec.coeffs, m, power_cache=cache))
+def _determinant(spec: RecurrenceSpec, ns: range) -> Iterator[MultiPoly]:
+    # A row reads b(n-k+1)..b(n) and the rows ascend, so one band expansion
+    # seen through a window of its last k minors serves every row.
+    minors, window = enumerate(band_minors(spec.coeffs)), deque(maxlen=spec.order)
 
-
-def _determinant(spec: RecurrenceSpec, n: int, cache: dict) -> MultiPoly:
-    # The cache holds the band expansion and its last k minors: a term reads
-    # b(n-k+1)..b(n) and a table's rows ascend, so one expansion serves a
-    # term, or a whole table.  A b(m) behind the window starts it over.
     def b(m: int) -> MultiPoly:
-        if "minors" not in cache or m < cache["next"] - spec.order:
-            cache.update(minors=band_minors(spec.coeffs), next=0, window=deque(maxlen=spec.order))
-        while cache["next"] <= m:
-            cache["window"].append(next(cache["minors"]))
-            cache["next"] += 1
-        return cache["window"][m - cache["next"]]
+        while not window or window[-1][0] < m:
+            window.append(next(minors))
+        return window[m - window[-1][0] - 1][1]
 
-    return _closed_form(spec, n, b)
+    return _closed_form(spec, ns, b)
 
 
-# Each entry is fn(spec, n, cache), where ``cache`` is a dict the engine may
-# fill and reuse across calls for the same spec.  It calls its engine
+# Each entry is rows(spec, ns) for a nonempty range ns.  It calls its engine
 # through this module's globals at call time, so a wrapper installed by
 # rebinding a module attribute sees every call.  The CLI lists the engines
 # in key order.
-ENGINES = {
-    "iterate": _iterate,
+ENGINES: dict[str, Callable[[RecurrenceSpec, range], Iterator[MultiPoly]]] = {
+    "iterate": lambda spec, ns: islice(iter_terms(spec, ns[-1]), ns.start, None),
     "multinomial": _multinomial,
     "determinant": _determinant,
-    "companion": lambda spec, n, cache: companion_power_term(spec, n),
+    "companion": lambda spec, ns: (companion_terms(spec, ns[-1]) if ns.start == 0
+                                   else (companion_power_term(spec, n) for n in ns)),
 }
 
 
-def _engine(name: str) -> Callable[[RecurrenceSpec, int, dict], MultiPoly]:
-    if name not in ENGINES:
-        raise StructuralError(f"unknown engine {name!r}")
-    return ENGINES[name]
+def _rows(spec: RecurrenceSpec, lo: int, hi: int, engine: str, name: str) -> Iterator[MultiPoly]:
+    if engine not in ENGINES:
+        raise StructuralError(f"unknown engine {engine!r}")
+    if hi < 0:
+        raise StructuralError(f"{name} must be >= 0, got {hi}")
+    return ENGINES[engine](spec, range(lo, hi + 1))
 
 
 def compute_term(spec: RecurrenceSpec, n: int, engine: str) -> MultiPoly:
     """P_n by the named engine (consistent indexing across engines)."""
-    fn = _engine(engine)
-    if n < 0:
-        raise StructuralError(f"n must be >= 0, got {n}")
-    return fn(spec, n, {})
+    return next(_rows(spec, n, n, engine, "n"))
 
 
 def table_terms(spec: RecurrenceSpec, n_max: int, engine: str) -> Iterator[MultiPoly]:
-    """P_0, ..., P_{n_max} by the named engine; iterate and companion stream their rows."""
-    if n_max < 0:
-        raise StructuralError(f"n_max must be >= 0, got {n_max}")
-    rows = {"iterate": iter_terms, "companion": companion_terms}.get(engine)
-    if rows:
-        return rows(spec, n_max)
-    fn, cache = _engine(engine), {}  # one cache for every row
-    return (fn(spec, n, cache) for n in range(n_max + 1))
+    """P_0, ..., P_{n_max} by the named engine, streamed row by row."""
+    return _rows(spec, 0, n_max, engine, "n_max")

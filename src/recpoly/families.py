@@ -554,6 +554,9 @@ def check_identity(identity_id: str, family: Optional[Order2Family] = None,
     """
     if identity_id not in _CATALOG:
         raise KeyError(f"unknown identity id {identity_id!r}")
+    for name, value in (("n_max", n_max), ("p_max", p_max), ("m_max", m_max)):
+        if value < 0:
+            raise StructuralError(f"{name} must be >= 0, got {value}")
     if family is None:
         family = generic_family()
     index_range = f"n<={n_max},p<={p_max},m<={m_max}"

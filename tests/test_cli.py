@@ -408,17 +408,31 @@ class TestTableCommand:
                            "--engine", "multinomial")
         assert out_it == out_mn
 
+    @pytest.mark.parametrize("engine", ["companion", "multinomial", "determinant"])
     @pytest.mark.parametrize("family", [
         ["--family", "fibonacci2", "--n-max", "80"],
+        ["--family", "lucas2", "--n-max", "60"],
         ["--family", "dickson-d", "--n-max", "60"],
+        ["--family", "dickson-e", "--n-max", "60"],
         ["--family", "generalized-lucas", "--order", "3", "--n-max", "30"],
         ["--family", "generalized-lucas", "--order", "4", "--n-max", "30"],
     ])
-    def test_companion_table_prints_the_iterate_bytes(self, capsys, family):
+    def test_companion_table_prints_the_iterate_bytes(self, capsys, family, engine):
         code_it, out_it, _ = run(capsys, "table", *family)
-        code_cp, out_cp, _ = run(capsys, "table", *family, "--engine", "companion")
+        code_cp, out_cp, _ = run(capsys, "table", *family, "--engine", engine)
         assert code_it == code_cp == 0
         assert out_cp == out_it
+
+    @pytest.mark.parametrize("engine", ["multinomial", "determinant"])
+    def test_budget_stops_a_closed_form_table_in_row_order(self, capsys, tmp_path, engine):
+        # Row 0 prints.  Row 1 fails on its first product N_0 b(1) =
+        # (x+y)(x+1), 4 terms, before it forms N_1 (3 terms): the numerator
+        # is formed row by row, not ahead of row 0.
+        path = write_spec(tmp_path, {"variables": ["x", "y"], "order": 2,
+                                     "coefficients": ["x+1", "y"], "initial": ["x+y", "y"]})
+        code, out, err = run(capsys, "table", "--spec", path, "--n-max", "3",
+                             "--engine", engine, "--budget", "2")
+        assert (code, out, err) == (3, "0\tx + y\n", "error: term count 4 exceeds budget 2\n")
 
     @pytest.mark.parametrize("engine", ["iterate", "companion"])
     def test_json_lines_rows_carry_their_own_time(self, capsys, engine):

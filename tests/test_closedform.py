@@ -27,7 +27,7 @@ from recpoly import (
 )
 from recpoly import closedform
 from recpoly.closedform import hessenberg_det, hessenberg_matrix, multinomial
-from recpoly.engines import ENGINES, compute_term, table_terms
+from recpoly.engines import compute_term, table_terms
 from recpoly.recurrence import iter_terms
 from recpoly.specfile import family_spec
 from support import eager_bareiss_det, random_delta_spec
@@ -266,11 +266,11 @@ class TestHessenbergEngine:
         assert peak(lambda: compute_term(spec, n, "determinant")) <= 2 * iterate
 
     def test_shared_cache_serves_any_order(self):
-        # A b(m) behind the engine's window of k minors starts a new expansion.
-        spec, cache = family_spec("lucas2"), {}
+        # Each call draws its own expansion, so the order of the calls does not matter.
+        spec = family_spec("lucas2")
         terms = iterate_terms(spec, 12)
         for n in (12, 3, 4, 11, 0, 12):
-            assert ENGINES["determinant"](spec, n, cache) == terms[n], n
+            assert compute_term(spec, n, "determinant") == terms[n], n
 
     def test_symbolic_det_reads_the_band_without_a_matrix(self, monkeypatch):
         def refuse(coeffs, n):
@@ -289,10 +289,16 @@ class TestHessenbergEngine:
         assert value == iterate_terms(spec, n)[n]
 
     def test_one_expansion_serves_a_whole_table(self, ring_products):
-        spec, n_max = family_spec("fibonacci2"), 150
-        rows = list(table_terms(spec, n_max, "determinant"))
-        assert ring_products[0] <= 10 * n_max
-        assert rows == iterate_terms(spec, n_max)
+        # A row draws one minor (at most k products) and takes at most k
+        # products N_j b(n-j); N is formed once per table, in at most k^2.
+        # lucas2 has two nonzero N_j, fibonacci2 one.
+        for family in ("fibonacci2", "lucas2"):
+            spec, n_max = family_spec(family), 150
+            k = spec.order
+            ring_products[0] = 0
+            rows = list(table_terms(spec, n_max, "determinant"))
+            assert ring_products[0] <= min(10 * n_max, 2 * k * (n_max + 1) + k * k), family
+            assert rows == iterate_terms(spec, n_max)
 
 
 class TestBareiss:

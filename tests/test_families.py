@@ -279,6 +279,16 @@ class TestIdentityCatalog:
         with pytest.raises(KeyError):
             check_identity("thm-9.9")
 
+    @pytest.mark.parametrize("param", ["n_max", "p_max", "m_max"])
+    @pytest.mark.parametrize("identity_id", IDENTITY_IDS + TYPO_IDS)
+    def test_negative_range_is_refused_before_the_check(self, monkeypatch, identity_id, param):
+        def refuse(*args):
+            raise AssertionError("the checker ran")
+
+        monkeypatch.setitem(families._CATALOG, identity_id, refuse)
+        with pytest.raises(StructuralError, match=f"^{param} must be >= 0, got -1$"):
+            check_identity(identity_id, **{param: -1})
+
     def test_checks_run_on_a_specialized_family(self):
         report = check_identity("thm-4.5", family=classical_family(), n_max=10)
         assert report.passed
