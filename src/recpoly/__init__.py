@@ -40,17 +40,13 @@ from .families import (
     classical_family,
     dickson_D,
     dickson_E,
-    dickson_E_det,
     dickson_family,
     generic_family,
-    tridiag_closed_form_check,
 )
 from .parse import ParseError, ast_to_poly, parse_expr, parse_poly
 from .recurrence import (
     RecurrenceSpec,
-    basis_sequence,
     companion_power_term,
-    decompose_check,
     iterate_terms,
 )
 from .ring import MultiPoly, QuadExtElem, term_budget
@@ -75,7 +71,6 @@ __all__ = [
     "VariableMismatchError",
     "ast_to_poly",
     "bareiss_det",
-    "basis_sequence",
     "binet_distinct",
     "binet_multiple",
     "binet_single",
@@ -84,10 +79,8 @@ __all__ = [
     "classical_family",
     "companion_power_term",
     "compositions",
-    "decompose_check",
     "dickson_D",
     "dickson_E",
-    "dickson_E_det",
     "dickson_family",
     "family_spec",
     "generalized_lucas",
@@ -103,6 +96,5 @@ __all__ = [
     "parse_poly",
     "spec_from_mapping",
     "term_budget",
-    "tridiag_closed_form_check",
     "weighted_compositions",
 ]

@@ -43,8 +43,18 @@ def _closed_form(spec: RecurrenceSpec, ns: range,
 
 
 def _multinomial(spec: RecurrenceSpec, ns: range) -> Iterator[MultiPoly]:
+    # A row reads b(n-k+1)..b(n), so each b(m) is formed once, at its first
+    # read, and dropped when b(m+k) is formed.
     powers: dict = {}  # the coefficient powers, shared by every row
-    return _closed_form(spec, ns, lambda m: multinomial_term(spec.coeffs, m, power_cache=powers))
+    last: dict[int, MultiPoly] = {}
+
+    def b(m: int) -> MultiPoly:
+        if m not in last:
+            last.pop(m - spec.order, None)
+            last[m] = multinomial_term(spec.coeffs, m, power_cache=powers)
+        return last[m]
+
+    return _closed_form(spec, ns, b)
 
 
 def _determinant(spec: RecurrenceSpec, ns: range) -> Iterator[MultiPoly]:

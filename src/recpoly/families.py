@@ -18,12 +18,11 @@ FAIL and exist as regressions documenting the discrepancy.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Optional
 
 from .binet import binet_multiple, char_roots
 from .closedform import (
@@ -83,11 +82,9 @@ class Order2Family:
     def fib_explicit(self, n: int) -> MultiPoly:
         """F_{n+1} = sum_i binom(n-i, i) q1^(n-2i) q2^i, returned at index n.
 
-        F_0 falls outside the sum's range and is returned directly.
+        F_0 is the empty sum.
         """
-        if n == 0:
-            return MultiPoly.zero(self.variables)
-        return self._explicit(n - 1, lambda i: math.comb(n - 1 - i, i))
+        return next(self._fib_explicits(range(n, n + 1)))
 
     def lucas_explicit(self, n: int) -> MultiPoly:
         """L_n = sum_i n/(n-i) binom(n-i, i) q1^(n-2i) q2^i for n >= 1.
@@ -95,16 +92,36 @@ class Order2Family:
         The weight n/(n-i) * binom(n-i, i) is an exact integer; divisibility
         is asserted rather than assumed.
         """
-        if n < 1:
-            raise StructuralError("the explicit Lucas sum is stated for n >= 1")
-        return self._explicit(n, lambda i: lucas_weight(n, i))
+        return next(self._lucas_explicits(range(n, n + 1)))
 
-    def _explicit(self, top: int, weight: Callable[[int], int]) -> MultiPoly:
-        """sum_i weight(i) q1^(top-2i) q2^i, i <= top/2, by running powers in one kernel call."""
+    def _fib_explicits(self, ns: range) -> Iterator[MultiPoly]:
+        """:meth:`fib_explicit` at each n of an ascending range."""
+        if ns.start < 0:
+            raise StructuralError("the explicit Fibonacci sum is stated for n >= 0")
+        return self._explicit(range(ns.start - 1, ns.stop - 1), lambda top, i: math.comb(top - i, i))
+
+    def _lucas_explicits(self, ns: range) -> Iterator[MultiPoly]:
+        """:meth:`lucas_explicit` at each n of an ascending range."""
+        if ns.start < 1:
+            raise StructuralError("the explicit Lucas sum is stated for n >= 1")
+        return self._explicit(ns, lucas_weight)
+
+    def _explicit(self, tops: range, weight: Callable[[int, int], int]) -> Iterator[MultiPoly]:
+        """sum_i weight(top, i) q1^(top-2i) q2^i over i <= top/2, for each top
+        of an ascending range, each sum in one kernel call.  One table of the
+        powers of q1 and q2 serves the range: it grows to each top in turn, so
+        every power is one product, formed once."""
         one = MultiPoly.const(self.variables, 1)
-        q1, q2 = (list(accumulate(repeat(q, k), MultiPoly.__mul__, initial=one))
-                  for q, k in ((self.q1, top), (self.q2, top // 2)))
-        return _sum(*((weight(i), q1[top - 2 * i], q2[i]) for i in range(top // 2 + 1)))
+        q1, q2 = [one], [one]
+        for top in tops:
+            while len(q1) <= top:
+                q1.append(q1[-1] * self.q1)
+            while len(q2) <= top // 2:
+                q2.append(q2[-1] * self.q2)
+            acc: dict[int, int] = {}
+            _addmul(acc, self.variables, ((weight(top, i), q1[top - 2 * i].terms, q2[i].terms)
+                                          for i in range(top // 2 + 1)))
+            yield _charged(self.variables, acc)
 
 
 def _sum(*products: tuple[int, MultiPoly, MultiPoly]) -> MultiPoly:
@@ -165,9 +182,8 @@ def dickson_E(n: int) -> MultiPoly:
     return value
 
 
-def _tridiag(diag, sub, sup, n: int) -> list[list]:
-    """The literal n x n tridiagonal matrix with constant bands (polynomial
-    or complex entries; off the bands, the zero of the diagonal's type)."""
+def _tridiag(diag: MultiPoly, sub: MultiPoly, sup: MultiPoly, n: int) -> list[list[MultiPoly]]:
+    """The literal n x n tridiagonal matrix with constant bands, zero off them."""
     bands, zero = {-1: sub, 0: diag, 1: sup}, diag * 0
     return [[bands.get(j - i, zero) for j in range(n)] for i in range(n)]
 
@@ -180,67 +196,6 @@ def _dickson_E_minors(n_max: int, sign: int = 1) -> list[MultiPoly]:
     _, x, a = _dickson_vars()
     one = MultiPoly.const(x.variables, 1)
     return hessenberg_minors(_tridiag(x, sign * one, sign * a, n_max))
-
-
-def dickson_E_det(n: int) -> MultiPoly:
-    """E_n as the n x n tridiagonal determinant (diagonal x, superdiagonal a,
-    subdiagonal +1), by cofactor expansion of the literal matrix."""
-    if n < 1:
-        raise StructuralError(f"n must be >= 1, got {n}")
-    return _dickson_E_minors(n)[n]
-
-
-def dickson_E_det_signflip_check(n: int) -> bool:
-    """The proof's similarity step: flipping both off-diagonal bands'
-    signs leaves the tridiagonal determinant unchanged."""
-    return _dickson_E_minors(n)[n] == _dickson_E_minors(n, -1)[n]
-
-
-def lu_det(rows: Sequence[Sequence[complex]]) -> complex:
-    """Complex determinant by Gaussian elimination with partial pivoting
-    (the LU factorization with row exchanges of LAPACK's getrf).
-
-    It eliminates the literal dense matrix and uses no band structure, so it
-    stays independent of the three-term recurrence behind the tridiagonal
-    closed form it checks.
-    """
-    m = [[complex(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise StructuralError("matrix must be square")
-    det = 1 + 0j
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[pivot_row][col] == 0:
-            return 0j
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        top = m[col]
-        det *= top[col]
-        for row in m[col + 1:]:
-            factor = row[col] / top[col]
-            for c in range(col + 1, n):
-                row[c] -= factor * top[c]
-    return det
-
-
-def tridiag_closed_form_check(b: complex, a_sub: complex, c_sup: complex, n: int,
-                              rel_tol: float = NUMERIC_REL_TOL) -> bool:
-    """Compare the radical closed form of the constant-band tridiagonal
-    determinant against an LU determinant of the literal matrix."""
-    if n < 1:
-        raise StructuralError(f"n must be >= 1, got {n}")
-    b, a_sub, c_sup = complex(b), complex(a_sub), complex(c_sup)
-    disc = b * b - 4 * a_sub * c_sup
-    scale = max(1.0, abs(b) ** 2, 4 * abs(a_sub * c_sup))
-    if abs(disc) <= 1e-12 * scale:
-        closed = (n + 1) * (b / 2) ** n
-    else:
-        s = cmath.sqrt(disc)
-        closed = ((b + s) ** (n + 1) - (b - s) ** (n + 1)) / (2 ** (n + 1) * s)
-    lu = lu_det(_tridiag(b, a_sub, c_sup, n))
-    return abs(closed - lu) <= rel_tol * max(1.0, abs(lu))
 
 
 # -- identity catalog ----------------------------------------------------------
@@ -391,8 +346,10 @@ def _cases_4_13(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
 
 
 def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
-    # One literal N x N matrix per sign: d_n of each is dickson_E_det(n)
-    # and the two sides of dickson_E_det_signflip_check(n).
+    # E_n is the n x n tridiagonal determinant with diagonal x, superdiagonal
+    # a and subdiagonal 1, and flipping both off-diagonal bands' signs (the
+    # proof's similarity step) leaves it unchanged.  One literal N x N matrix
+    # per sign: its leading minors d_n are both determinants for every n <= N.
     plus, minus = _dickson_E_minors(max(N, 1)), _dickson_E_minors(max(N, 1), -1)
     for n in range(1, N + 1):
         yield {"n": n}, s.E[n], plus[n]
@@ -401,10 +358,11 @@ def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
 
 
 def _cases_5_5(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    D, E = s.dickson._lucas_explicits(range(1, N + 1)), s.dickson._fib_explicits(range(1, N + 2))
     for n in range(N + 1):
         if n >= 1:
-            yield {"n": n, "kind": "D"}, s.D[n], s.dickson.lucas_explicit(n)
-        yield {"n": n, "kind": "E"}, s.E[n], s.dickson.fib_explicit(n + 1)
+            yield {"n": n, "kind": "D"}, s.D[n], next(D)
+        yield {"n": n, "kind": "E"}, s.E[n], next(E)
 
 
 def _d2(shift: int) -> _Entry:
@@ -503,10 +461,11 @@ _CATALOG: dict[str, Callable[..., Iterator[Case]]] = {
     "thm-4.13": _Entry(lambda N, P, M: {"F": N + 1}, _cases_4_13),
     "thm-4.15": _Entry(lambda N, P, M: {"F": N + 1, "L": N}, _each_n(
         0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n]))),
-    "thm-4.17": _Entry(lambda N, P, M: {"F": N + 1}, _each_n(
-        0, lambda s, n: (s.F[n + 1], s.fam.fib_explicit(n + 1)))),
-    "thm-4.19": _Entry(lambda N, P, M: {"L": N}, _each_n(
-        1, lambda s, n: (s.L[n], s.fam.lucas_explicit(n)))),
+    "thm-4.17": _Entry(lambda N, P, M: {"F": N + 1}, lambda s, N, P, M: (
+        ({"n": n}, s.F[n + 1], rhs) for n, rhs in enumerate(s.fam._fib_explicits(range(1, N + 2))))),
+    "thm-4.19": _Entry(lambda N, P, M: {"L": N}, lambda s, N, P, M: (
+        ({"n": n}, s.L[n], rhs) for n, rhs in zip(range(1, N + 1),
+                                                  s.fam._lucas_explicits(range(1, N + 1))))),
     "thm-4.21-12": _check_4_21_12,
     "thm-4.21-3": _power(False, +1, False),
     "thm-4.21-4": _power(False, -1, False),

@@ -5,12 +5,11 @@ c_1..c_k, and the initial window P_0..P_{k-1}.  The characteristic
 polynomial X^k - c_1 X^{k-1} - ... - c_k is derived from the coefficients
 and never stored.
 
-Engines here are plain iteration, the delta-initial basis sequences, the
-decomposition of an arbitrary solution over those basis sequences, and
-Fiduccia's method (SIAM J. Comput. 14(1), 1985) on remainders modulo the
-characteristic polynomial chi: a term ends in an exact bilinear form, not a
-last squaring, and a table shifts X^n mod chi one row at a time.  Symbolic
-terms can grow quickly for multivariate coefficients; run an engine inside
+Engines here are plain iteration and Fiduccia's method (SIAM J. Comput.
+14(1), 1985) on remainders modulo the characteristic polynomial chi: a term
+ends in an exact bilinear form, not a last squaring, and a table shifts
+X^n mod chi one row at a time.  Symbolic terms can grow quickly for
+multivariate coefficients; run an engine inside
 :func:`recpoly.ring.term_budget` to make it fail cleanly once any sum or
 product it builds exceeds a term count.
 """
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import StructuralError
 from .ring import MultiPoly, _addmul, _charged
@@ -60,16 +59,6 @@ class RecurrenceSpec:
     def with_initial(self, initial: Sequence[MultiPoly]) -> "RecurrenceSpec":
         return RecurrenceSpec(self.variables, self.order, self.coeffs, tuple(initial))
 
-    def delta_spec(self, j: int) -> "RecurrenceSpec":
-        """The same recurrence with delta initial conditions at position j."""
-        if not 0 <= j < self.order:
-            raise StructuralError(f"basis index {j} out of range 0..{self.order - 1}")
-        initial = tuple(
-            MultiPoly.const(self.variables, 1 if i == j else 0)
-            for i in range(self.order)
-        )
-        return self.with_initial(initial)
-
 
 def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
     """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per
@@ -91,33 +80,6 @@ def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
 def iterate_terms(spec: RecurrenceSpec, n_max: int) -> list[MultiPoly]:
     """Return [P_0, ..., P_{n_max}] by direct iteration of the recurrence."""
     return list(iter_terms(spec, n_max))
-
-
-def basis_sequence(spec: RecurrenceSpec, j: int, n_max: int) -> list[MultiPoly]:
-    """The solution P^(j) with initial terms delta_{ij}, up to index n_max."""
-    return iterate_terms(spec.delta_spec(j), n_max)
-
-
-def decompose_check(spec: RecurrenceSpec, n_max: int,
-                    basis: Optional[Sequence[Sequence[MultiPoly]]] = None,
-                    ) -> tuple[bool, Optional[tuple[int, MultiPoly, MultiPoly]]]:
-    """Verify P_n = sum_i P_i * P^(i)_n symbolically for all n <= n_max.
-
-    Returns (True, None) on success or (False, (n, lhs, rhs)) at the first
-    mismatching index.  ``basis`` overrides the internally computed basis
-    sequences; it exists for negative-control testing.
-    """
-    terms = iterate_terms(spec, n_max)
-    if basis is None:
-        basis = [basis_sequence(spec, j, n_max) for j in range(spec.order)]
-    for n in range(n_max + 1):
-        acc: dict[int, int] = {}
-        _addmul(acc, spec.variables, [(1, spec.initial[i].terms, basis[i][n].terms)
-                                      for i in range(spec.order)])
-        rhs = _charged(spec.variables, acc)
-        if terms[n] != rhs:
-            return False, (n, terms[n], rhs)
-    return True, None
 
 
 def _reduce(poly: list[dict[int, int]], spec: RecurrenceSpec) -> list[dict[int, int]]:

@@ -48,7 +48,7 @@ import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, StructuralError, VariableMismatchError
 
@@ -93,12 +93,11 @@ def _pack(exps: tuple[int, ...]) -> int:
     return key
 
 
-def _unpack(key: int, nvars: int) -> list[int]:
-    exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        exps[i] = key & _FIELD_MASK
-        key >>= _FIELD_BITS
-    return exps
+def _fields(items: Sequence) -> list[tuple]:
+    """Pair the i-th item with the shift of variable i's field: the exponent
+    of that variable in a key is ``key >> shift & _FIELD_MASK``."""
+    last = len(items) - 1
+    return [(item, (last - i) * _FIELD_BITS) for i, item in enumerate(items)]
 
 
 class MultiPoly:
@@ -236,49 +235,19 @@ class MultiPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _point_values(self, point: Mapping[str, object]) -> list:
-        values = []
+    def eval_int(self, point: Mapping[str, int]) -> int:
+        """Exact integer value at an integer point."""
         for v in self.variables:
             if v not in point:
                 raise VariableMismatchError(f"point is missing an assignment for variable {v!r}")
-            values.append(point[v])
-        return values
-
-    def eval_int(self, point: Mapping[str, int]) -> int:
-        """Exact integer value at an integer point."""
-        values = self._point_values(point)
-        nvars = len(values)
+        fields = _fields([point[v] for v in self.variables])
         total = 0
         for key, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(values, _unpack(key, nvars)):
+            for val, shift in fields:
+                e = key >> shift & _FIELD_MASK
                 if e:
-                    term *= val**e
-            total += term
-        return total
-
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        """Floating evaluation at a complex point (IEEE semantics, NaN propagates)."""
-        values = [complex(v) for v in self._point_values(point)]
-        nvars = len(values)
-        items = [(_unpack(key, nvars), coeff) for key, coeff in self.terms.items()]
-        # Powers only at the exponents the terms use, each built from the
-        # previous one, so the cost follows the terms and not the exponents.
-        powers = []
-        for i, val in enumerate(values):
-            row = {0: 1.0 + 0.0j}
-            prev = 0
-            for e in sorted({exps[i] for exps, _ in items} - {0}):
-                row[e] = row[prev] * _power(val, e - prev)
-                prev = e
-            powers.append(row)
-        total = 0.0 + 0.0j
-        for exps, coeff in items:
-            term = complex(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term *= powers[i][e]
-            total += term
+                    coeff *= val**e
+            total += coeff
         return total
 
     # -- printing ------------------------------------------------------------
@@ -297,9 +266,7 @@ class MultiPoly:
         """
         if not self.terms:
             return "0"
-        # One (name, shift) per variable: an exponent is one shift and one mask.
-        last = len(self.variables) - 1
-        fields = [(name, (last - i) * _FIELD_BITS) for i, name in enumerate(self.variables)]
+        fields = _fields(self.variables)
         pieces = []
         for idx, key in enumerate(sorted(self.terms, reverse=True)):
             coeff = self.terms[key]
@@ -340,11 +307,11 @@ def int_text(value: int) -> str:
 
 
 def _power(base, e: int):
-    """base**e for e >= 1 by binary powering; complex overflow gives inf.
+    """base**e for e >= 1 by binary powering, for a MultiPoly or a QuadExtElem.
 
-    The result starts from the lowest set bit's power, not from a unit (a
-    complex unit turns inf into inf+nanj), and nothing is squared after the
-    highest bit, so DEGREE_GUARD trips only on a product the result needs.
+    The result starts from the lowest set bit's power, not from a unit, so
+    no product by one is formed, and nothing is squared after the highest
+    bit, so DEGREE_GUARD trips only on a product the result needs.
     """
     result = None
     while True:

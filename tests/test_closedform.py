@@ -300,6 +300,14 @@ class TestHessenbergEngine:
             assert ring_products[0] <= min(10 * n_max, 2 * k * (n_max + 1) + k * k), family
             assert rows == iterate_terms(spec, n_max)
 
+    def test_multinomial_table_forms_each_b_once(self, ring_products):
+        # lucas2 has N = (2, -x), so row n reads b(n) and b(n-1): formed at
+        # every read, each b took two rows' products (12003 at n_max = 150).
+        spec, n_max = family_spec("lucas2"), 150
+        rows = list(table_terms(spec, n_max, "multinomial"))
+        assert ring_products[0] <= 6303
+        assert rows == iterate_terms(spec, n_max)
+
 
 class TestBareiss:
     def test_known_determinants(self):
@@ -431,7 +439,7 @@ class TestGeneralizedLucas:
         x2 = MultiPoly.var("x2", spec.variables)
         x3 = MultiPoly.var("x3", spec.variables)
         assert spec.coeffs == (x1, -x2, x3)
-        assert spec.initial == spec.delta_spec(2).initial
+        assert spec.initial == (0, 0, 1)
 
     def test_order_two_first_terms(self):
         x1 = MultiPoly.var("x1", ("x1", "x2"))

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,22 +7,23 @@ from recpoly import (
     TYPO_IDS,
     MultiPoly,
     Order2Family,
+    RecurrenceSpec,
     StructuralError,
     bareiss_det,
     check_identity,
     classical_family,
     dickson_D,
     dickson_E,
-    dickson_E_det,
     dickson_family,
     generic_family,
+    iterate_terms,
     parse_poly,
-    tridiag_closed_form_check,
 )
+import recpoly
 from conftest import VARS, multipolys
 from recpoly import QuadExtElem, families
-from recpoly.closedform import hessenberg_det
-from recpoly.families import dickson_E_det_signflip_check, lu_det, lucas_weight
+from recpoly.closedform import hessenberg_det, hessenberg_minors
+from recpoly.families import lucas_weight
 
 XA = ("x", "a")
 X_ = MultiPoly.var("x", XA)
@@ -57,6 +56,10 @@ class TestClassicalFamily:
         with pytest.raises(StructuralError):
             classical_family().lucas_explicit(0)
 
+    def test_fib_explicit_needs_nonnegative_index(self):
+        with pytest.raises(StructuralError):
+            classical_family().fib_explicit(-1)
+
 
 class TestExplicitSums:
     @pytest.mark.parametrize("q1, q2", [("x + 2*y - 1", "x*y + 3*z^2 - 2"),
@@ -69,6 +72,27 @@ class TestExplicitSums:
             assert fam.fib_explicit(n) == fib[n]
             if n >= 1:
                 assert fam.lucas_explicit(n) == lucas[n]
+
+    @pytest.mark.parametrize("identity_id, bound", [
+        ("thm-4.17", 400), ("thm-4.19", 400), ("thm-5.5", 720)])
+    def test_a_check_builds_one_power_table_per_sum(self, ring_products, identity_id, bound):
+        # At n_max = 30, building q1^0..q1^top and q2^0..q2^(top/2) again for
+        # every sum costs 690 products per sum; one table costs 45.
+        report = check_identity(identity_id)
+        assert report.passed
+        assert ring_products[0] <= bound
+
+    @pytest.mark.parametrize("identity_id, witness", [
+        ("thm-4.17", {"n": 3}), ("thm-4.19", {"n": 3}), ("thm-5.5", {"n": 3, "kind": "D"})])
+    def test_a_wrong_sum_in_the_range_is_the_witness(self, monkeypatch, identity_id, witness):
+        original = Order2Family._explicit
+
+        def wrong_at_3(self, tops, weight):
+            for top, total in zip(tops, original(self, tops, weight)):
+                yield total + 1 if top == 3 else total
+
+        monkeypatch.setattr(Order2Family, "_explicit", wrong_at_3)
+        assert check_identity(identity_id).witness[0] == witness
 
 
 class TestLucasWeight:
@@ -139,17 +163,7 @@ class TestDicksonPolynomials:
 
 class TestTridiagonalDeterminants:
     def test_dickson_E_det_small(self):
-        assert dickson_E_det(1) == X_
-        assert dickson_E_det(2) == X_**2 - A_
-        assert dickson_E_det(3) == X_**3 - 2 * X_ * A_
-
-    def test_det_equals_E_up_to_ten(self):
-        for n in range(1, 11):
-            assert dickson_E_det(n) == dickson_E(n)
-
-    def test_sign_flip_invariance(self):
-        for n in range(1, 9):
-            assert dickson_E_det_signflip_check(n)
+        assert families._dickson_E_minors(3)[1:] == [X_, X_**2 - A_, X_**3 - 2 * X_ * A_]
 
     def test_generic_symbolic_recursion(self):
         v = ("b", "a", "c")
@@ -161,61 +175,65 @@ class TestTridiagonalDeterminants:
         assert hessenberg_det([[b, c], [a, b]]) == b**2 - c * a
         assert hessenberg_det([[b, c, zero], [a, b, c], [zero, a, b]]) == b**3 - 2 * b * c * a
 
-    def test_closed_form_vs_lu(self):
-        # Distinct-root band values.
-        assert tridiag_closed_form_check(1, 1, -1, 9)  # Fibonacci-like: F_10 = 55
-        assert tridiag_closed_form_check(3, 1, 1, 7)
-        assert tridiag_closed_form_check(2.5, -1.5, 0.5, 6)
-        assert tridiag_closed_form_check(1, 2, 3, 8)  # complex square root branch
+    def test_constant_band_minors_follow_the_three_term_recurrence(self):
+        # Diagonal b, subdiagonal a, superdiagonal c as free variables: the
+        # leading minors satisfy d_n = b d_{n-1} - a c d_{n-2} from (1, b) for
+        # every band value at once.  The radical closed form of d_n is the
+        # Binet form that thm-4.21-12 checks numerically.
+        v = ("b", "a", "c")
+        b, a, c = (MultiPoly.var(name, v) for name in v)
+        spec = RecurrenceSpec.make(v, [b, -a * c], [MultiPoly.const(v, 1), b])
+        assert hessenberg_minors(families._tridiag(b, a, c, 14)) == iterate_terms(spec, 14)
+
+    def test_det_equals_E_up_to_ten(self):
+        assert families._dickson_E_minors(10)[1:] == [dickson_E(n) for n in range(1, 11)]
+
+    def test_sign_flip_invariance(self):
+        # Every term of d_n takes the off-diagonal entries in sub/sup pairs,
+        # so negating both bands leaves each minor unchanged.
+        v = ("b", "a", "c")
+        b, a, c = (MultiPoly.var(name, v) for name in v)
+        assert (hessenberg_minors(families._tridiag(b, a, c, 9))
+                == hessenberg_minors(families._tridiag(b, -a, -c, 9)))
+        assert families._dickson_E_minors(8) == families._dickson_E_minors(8, -1)
 
     def test_closed_form_degenerate_branch(self):
-        # b^2 = 4ac: determinant is (n + 1)(b/2)^n.
-        assert tridiag_closed_form_check(2, 1, 1, 5)
-        assert tridiag_closed_form_check(-4, 2, 2, 6)
+        # b^2 = 4ac: d_n = (n + 1)(b/2)^n, here with b = 2t and a = c = t.
+        t = MultiPoly.var("t", ("t",))
+        minors = hessenberg_minors(families._tridiag(2 * t, t, t, 9))
+        assert minors == [(n + 1) * t**n for n in range(10)]
 
-    def test_closed_form_bad_n(self):
-        with pytest.raises(StructuralError):
-            tridiag_closed_form_check(1, 1, 1, 0)
+    def test_zero_diagonal_minors(self):
+        # b = 0: d_n = 0 for odd n and (-ac)^(n/2) for even n.
+        v = ("a", "c")
+        a, c = (MultiPoly.var(name, v) for name in v)
+        minors = hessenberg_minors(families._tridiag(a * 0, a, c, 9))
+        assert minors == [(-a * c) ** (n // 2) if n % 2 == 0 else a * 0 for n in range(10)]
 
-    def test_zero_diagonal_needs_row_exchanges(self):
-        # Elimination without pivoting would divide by the zero diagonal.
-        assert tridiag_closed_form_check(0, 1, 1, 6)
-        assert tridiag_closed_form_check(0, 1, 1, 5)
-        assert tridiag_closed_form_check(0, 2j, 1 - 1j, 7)
-        assert lu_det(_tridiag(0, 1, 1, 6)) == -1
-        assert lu_det(_tridiag(0, 1, 1, 5)) == 0
-        assert lu_det(_tridiag(0, 2j, 1 - 1j, 6)) == (-2j * (1 - 1j)) ** 3
+    @settings(max_examples=100)
+    @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6))
+    def test_minors_are_complete_homogeneous_in_the_roots(self, r1, r2):
+        # With b = r1 + r2 and a c = r1 r2 the recurrence's roots are r1, r2,
+        # and d_n = sum_i r1^i r2^(n - i); r1 = r2 is the degenerate branch.
+        v = ("x",)
+        one = MultiPoly.const(v, 1)
+        minors = hessenberg_minors(families._tridiag((r1 + r2) * one, r1 * r2 * one, one, 8))
+        assert minors == [sum(r1**i * r2 ** (n - i) for i in range(n + 1)) * one
+                          for n in range(9)]
 
-
-def _tridiag(b, a_sub, c_sup, n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = b
-        if i + 1 < n:
-            rows[i + 1][i], rows[i][i + 1] = a_sub, c_sup
-    return rows
-
-
-class TestLuDet:
-    def test_small_cases(self):
-        assert lu_det([]) == 1
-        assert lu_det([[0, 1], [1, 0]]) == -1
-        assert lu_det([[1j, 0], [0, 1j]]) == -1
-
-    def test_non_square_rejected(self):
-        with pytest.raises(StructuralError):
-            lu_det([[1, 2, 3], [4, 5, 6]])
-
-    @settings(max_examples=300)
-    @given(st.integers(min_value=0, max_value=8).flatmap(
+    @settings(max_examples=100)
+    @given(st.integers(min_value=1, max_value=7).flatmap(
         lambda n: st.lists(st.lists(st.integers(min_value=-9, max_value=9),
                                     min_size=n, max_size=n),
                            min_size=n, max_size=n)))
-    def test_agrees_with_exact_bareiss(self, rows):
-        # Relative to Hadamard's bound on |det|: a singular matrix has
-        # det 0, so its rounding error has no scale of its own.
-        scale = math.prod(max(1.0, math.hypot(*row)) for row in rows)
-        assert abs(lu_det(rows) - bareiss_det(rows)) <= 1e-9 * scale
+    def test_minors_agree_with_dense_bareiss(self, rows):
+        # Zero below the subdiagonal makes the matrix upper Hessenberg; every
+        # leading minor must match elimination over the dense leading block.
+        n, v = len(rows), ("x",)
+        rows = [[e if j >= i - 1 else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+        minors = hessenberg_minors([[MultiPoly.const(v, e) for e in row] for row in rows])
+        assert minors == [MultiPoly.const(v, bareiss_det([row[:m] for row in rows[:m]]))
+                          for m in range(n + 1)]
 
 
 X_Y = ("x", "y")
@@ -331,3 +349,22 @@ class _ReadList(list):
     def __getitem__(self, index):
         self.top = max(self.top, index)
         return super().__getitem__(index)
+
+
+class TestPublicApi:
+    def test_exports_are_pinned_and_resolve(self):
+        assert recpoly.__all__ == [
+            "BudgetExceededError", "IDENTITY_IDS", "IdentityReport", "MultiPoly",
+            "Order2Family", "ParseError", "QuadExtElem", "RecurrenceSpec", "RootFindingError",
+            "RootProfile", "SpecFormatError", "StructuralError", "TYPO_IDS",
+            "VariableMismatchError", "ast_to_poly", "bareiss_det", "binet_distinct",
+            "binet_multiple", "binet_single", "char_roots", "check_identity",
+            "classical_family", "companion_power_term", "compositions", "dickson_D",
+            "dickson_E", "dickson_family", "family_spec", "generalized_lucas",
+            "generalized_lucas_closed_form", "generalized_lucas_spec", "generic_family",
+            "hessenberg_det_numeric_oracle", "hessenberg_det_symbolic", "iterate_terms",
+            "load_spec", "multinomial_term", "parse_expr", "parse_poly", "spec_from_mapping",
+            "term_budget", "weighted_compositions",
+        ]
+        for name in recpoly.__all__:
+            assert getattr(recpoly, name) is not None, name

@@ -10,9 +10,7 @@ from recpoly import (
     MultiPoly,
     RecurrenceSpec,
     StructuralError,
-    basis_sequence,
     companion_power_term,
-    decompose_check,
     iterate_terms,
     term_budget,
 )
@@ -81,14 +79,6 @@ class TestSpecValidation:
         one_y = MultiPoly.const(("y",), 1)
         with pytest.raises(StructuralError):
             RecurrenceSpec.make(("x",), [one_x], [one_y])
-
-    def test_delta_detection(self):
-        assert fib_spec().initial == fib_spec().delta_spec(1).initial
-        assert lucas_spec().initial != lucas_spec().delta_spec(1).initial
-
-    def test_delta_spec_index_range(self):
-        with pytest.raises(StructuralError):
-            fib_spec().delta_spec(2)
 
 
 class TestIteration:
@@ -162,35 +152,45 @@ class TestIteration:
         assert got == want and got.term_count() <= budget
 
 
+def delta_basis(spec: RecurrenceSpec, n_max: int) -> list[list[MultiPoly]]:
+    """P^(j)_0..P^(j)_n_max for j < k: spec's recurrence from the window with
+    1 at position j and 0 elsewhere."""
+    one, zero = MultiPoly.const(spec.variables, 1), MultiPoly.zero(spec.variables)
+    return [iterate_terms(spec.with_initial([one if i == j else zero for i in range(spec.order)]),
+                          n_max) for j in range(spec.order)]
+
+
 class TestBasisAndDecomposition:
+    """Lemma 4.4 for any order k: P_n = sum_i P_i P^(i)_n."""
+
+    @staticmethod
+    def combined(spec: RecurrenceSpec, basis: list[list[MultiPoly]]) -> list[MultiPoly]:
+        return [sum((p * seq[n] for p, seq in zip(spec.initial, basis)),
+                    MultiPoly.zero(spec.variables)) for n in range(len(basis[0]))]
+
     def test_basis_hits_delta_initials(self):
         spec = lucas_spec()
-        for j in range(spec.order):
-            seq = basis_sequence(spec, j, 3)
+        for j, seq in enumerate(delta_basis(spec, 3)):
             for i in range(spec.order):
                 assert seq[i] == (1 if i == j else 0)
 
     def test_decompose_lucas_over_basis(self):
-        ok, witness = decompose_check(lucas_spec(), 12)
-        assert ok and witness is None
+        spec = lucas_spec()
+        assert self.combined(spec, delta_basis(spec, 12)) == iterate_terms(spec, 12)
 
     def test_decompose_random_specs(self):
         rng = random.Random(7)
         for _ in range(10):
             spec = random_general_spec(rng, max_order=3)
-            ok, witness = decompose_check(spec, 8)
-            assert ok, witness
+            assert self.combined(spec, delta_basis(spec, 8)) == iterate_terms(spec, 8)
 
     def test_decompose_negative_control(self):
-        # Corrupt one basis entry: the check must fail and report the index.
+        # Corrupt one basis entry: the sums must differ there and only there.
         spec = lucas_spec()
-        basis = [basis_sequence(spec, j, 6) for j in range(spec.order)]
+        basis = delta_basis(spec, 6)
         basis[1][4] = basis[1][4] + 1
-        ok, witness = decompose_check(spec, 6, basis=basis)
-        assert not ok
-        n, lhs, rhs = witness
-        assert n == 4
-        assert lhs != rhs
+        terms = iterate_terms(spec, 6)
+        assert [n for n, rhs in enumerate(self.combined(spec, basis)) if rhs != terms[n]] == [4]
 
 
 class TestCompanionEngine:

@@ -1,8 +1,3 @@
-import itertools
-import math
-import struct
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,26 +15,7 @@ from recpoly import (
     term_budget,
 )
 from recpoly.closedform import hessenberg_det
-from recpoly.ring import DEGREE_GUARD, _addmul, _power
-
-
-def table_eval(terms, variables, point):
-    """Complex evaluation from a table of every power of each variable."""
-    values = [complex(point[v]) for v in variables]
-    powers = []
-    for i, val in enumerate(values):
-        row = [1.0 + 0.0j]
-        for _ in range(max((exps[i] for exps in terms), default=0)):
-            row.append(row[-1] * val)
-        powers.append(row)
-    total = 0.0 + 0.0j
-    for exps, coeff in terms.items():
-        term = complex(coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term *= powers[i][e]
-        total += term
-    return total
+from recpoly.ring import DEGREE_GUARD, _addmul
 
 
 def p(text_terms, variables):
@@ -110,39 +86,6 @@ class TestEvaluation:
         x = MultiPoly.var("x", XA)
         with pytest.raises(VariableMismatchError):
             (x + 1).eval_int({"x": 1})
-
-    def test_eval_complex(self):
-        x = MultiPoly.var("x", X)
-        assert abs((x**2 + 1).eval_complex({"x": 1j})) < 1e-12
-        assert (x).eval_complex({"x": 2.5}) == 2.5
-        assert abs((x**2 - 2).eval_complex({"x": 2**0.5})) < 1e-12
-
-    def test_eval_complex_cost_follows_the_terms(self):
-        variables = ("x", "y", "z")
-        poly = parse_poly("x^1000000 + y^1000000 + z^1000000", variables)
-        tracemalloc.start()
-        try:
-            assert poly.eval_complex({"x": 1, "y": 1, "z": 1}) == 3
-            assert poly.eval_complex({"x": 1j, "y": -1, "z": 1}) == 3
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # A table of every power up to 10^6 per variable would take over 100 MB.
-        assert peak < 10**6
-
-    @settings(max_examples=60)
-    @given(st.data())
-    def test_eval_complex_with_consecutive_exponents_is_unchanged(self, data):
-        # Every exponent 0..d_i of every variable occurs, so each power is the
-        # previous one times the value, exactly as in a full power table.
-        variables = data.draw(VARIABLE_LISTS)
-        degrees = [data.draw(st.integers(min_value=0, max_value=5)) for _ in variables]
-        coeff = st.integers(min_value=1, max_value=99)
-        terms = {exps: data.draw(coeff)
-                 for exps in itertools.product(*(range(d + 1) for d in degrees))}
-        part = st.floats(min_value=-3, max_value=3)
-        point = {v: complex(data.draw(part), data.draw(part)) for v in variables}
-        assert MultiPoly(variables, terms).eval_complex(point) == table_eval(terms, variables, point)
 
 
 class TestCanonicalString:
@@ -251,19 +194,6 @@ class TestQuadExt:
             assert a ** (m + n) == (a**m) * (a**n)
 
 
-def reference_complex_power(val, e):
-    """The binary-powering loop eval_complex used before one helper served
-    every ring: the result starts from the lowest set bit's power."""
-    result = None
-    while True:
-        if e & 1:
-            result = val if result is None else result * val
-        e >>= 1
-        if not e:
-            return result
-        val = val * val
-
-
 class TestPower:
     def test_multipoly_matches_repeated_products(self):
         xy = ("x", "y")
@@ -280,19 +210,6 @@ class TestPower:
         for e in range(65):
             assert base**e == expected, e
             expected = expected * base
-
-    def test_complex_is_bit_identical_to_the_reference_loop(self):
-        inf, nan = math.inf, math.nan
-        values = [complex(inf, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
-                  complex(-0.0, 0.0), complex(inf, inf), complex(nan, 1.0),
-                  complex(1e200, 1e-200), 0.5 - 0.75j, -1j, 1.0000001 + 0j, -3 + 2j]
-        bits = lambda z: struct.pack("<dd", z.real, z.imag)
-        for val in values:
-            for e in range(1, 65):
-                assert bits(_power(val, e)) == bits(reference_complex_power(val, e)), (val, e)
-        # A unit seed would differ: (1+0j)*inf gives a nan imaginary part.
-        assert bits(_power(complex(inf, 0.0), 1)) == bits(complex(inf, 0.0))
-        assert bits(_power(complex(-0.0, -0.0), 1)) == bits(complex(-0.0, -0.0))
 
     def test_no_square_after_the_last_bit(self):
         # x^(2^19) squares up to 2^19 only; one more square would pass the guard.
@@ -416,10 +333,6 @@ class TestPackedKernelAgainstReference:
         point = data.draw(integer_points(variables))
         exact = ref_eval(terms, variables, point)
         assert poly.eval_int(point) == exact
-        # Rounding error scales with the terms' magnitudes, not with their sum.
-        scale = ref_eval({e: abs(c) for e, c in terms.items()}, variables,
-                         {v: abs(value) for v, value in point.items()})
-        assert abs(poly.eval_complex(point) - exact) <= 1e-9 * max(1, scale)
 
 
 SMALL_VARIABLE_LISTS = st.sampled_from([(), ("x",), ("x", "y"), ("x", "y", "z")])
