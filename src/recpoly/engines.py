@@ -2,6 +2,8 @@
 
 Each engine streams the rows P_n of one ascending index range: a term is the
 range n..n, a table the range 0..n_max, and nothing is kept between calls.
+``_rows`` validates the range; the recurrence's unbounded row streams are
+cut to it with ``islice``.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def _determinant(spec: RecurrenceSpec, ns: range) -> Iterator[MultiPoly]:
 # rebinding a module attribute sees every call.  The CLI lists the engines
 # in key order.
 ENGINES: dict[str, Callable[[RecurrenceSpec, range], Iterator[MultiPoly]]] = {
-    "iterate": lambda spec, ns: islice(iter_terms(spec, ns[-1]), ns.start, None),
+    "iterate": lambda spec, ns: islice(iter_terms(spec), ns.start, ns.stop),
     "multinomial": _multinomial,
     "determinant": _determinant,
-    "companion": lambda spec, ns: (companion_terms(spec, ns[-1]) if ns.start == 0
+    "companion": lambda spec, ns: (islice(companion_terms(spec), ns.stop) if ns.start == 0
                                    else (companion_power_term(spec, n) for n in ns)),
 }
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -98,30 +99,35 @@ class Order2Family:
         """:meth:`fib_explicit` at each n of an ascending range."""
         if ns.start < 0:
             raise StructuralError("the explicit Fibonacci sum is stated for n >= 0")
-        return self._explicit(range(ns.start - 1, ns.stop - 1), lambda top, i: math.comb(top - i, i))
+        return (at(fib_weight) for at in self._explicit(range(ns.start - 1, ns.stop - 1)))
 
     def _lucas_explicits(self, ns: range) -> Iterator[MultiPoly]:
         """:meth:`lucas_explicit` at each n of an ascending range."""
         if ns.start < 1:
             raise StructuralError("the explicit Lucas sum is stated for n >= 1")
-        return self._explicit(ns, lucas_weight)
+        return (at(lucas_weight) for at in self._explicit(ns))
 
-    def _explicit(self, tops: range, weight: Callable[[int, int], int]) -> Iterator[MultiPoly]:
-        """sum_i weight(top, i) q1^(top-2i) q2^i over i <= top/2, for each top
-        of an ascending range, each sum in one kernel call.  One table of the
-        powers of q1 and q2 serves the range: it grows to each top in turn, so
-        every power is one product, formed once."""
+    def _explicit(self, tops: range) -> Iterator[Callable[[Callable[[int, int], int]], MultiPoly]]:
+        """For each top of an ascending range, the sum
+        sum_i weight(top, i) q1^(top-2i) q2^i over i <= top/2 as a function of
+        the weight, each sum in one kernel call.  One table of the powers of q1
+        and q2 serves the range and every weight: it grows to each top in
+        turn, so every power is one product, formed once."""
         one = MultiPoly.const(self.variables, 1)
         q1, q2 = [one], [one]
+
+        def at(top: int, weight: Callable[[int, int], int]) -> MultiPoly:
+            acc: dict[int, int] = {}
+            _addmul(acc, self.variables, ((weight(top, i), q1[top - 2 * i].terms, q2[i].terms)
+                                          for i in range(top // 2 + 1)))
+            return _charged(self.variables, acc)
+
         for top in tops:
             while len(q1) <= top:
                 q1.append(q1[-1] * self.q1)
             while len(q2) <= top // 2:
                 q2.append(q2[-1] * self.q2)
-            acc: dict[int, int] = {}
-            _addmul(acc, self.variables, ((weight(top, i), q1[top - 2 * i].terms, q2[i].terms)
-                                          for i in range(top // 2 + 1)))
-            yield _charged(self.variables, acc)
+            yield partial(at, top)
 
 
 def _sum(*products: tuple[int, MultiPoly, MultiPoly]) -> MultiPoly:
@@ -129,6 +135,11 @@ def _sum(*products: tuple[int, MultiPoly, MultiPoly]) -> MultiPoly:
     variables, acc = products[0][1].variables, {}
     _addmul(acc, variables, ((c, a.terms, b.terms) for c, a, b in products))
     return _charged(variables, acc)
+
+
+def fib_weight(n: int, i: int) -> int:
+    """binom(n-i, i), the weight of F_{n+1}'s explicit sum."""
+    return math.comb(n - i, i)
 
 
 def lucas_weight(n: int, i: int) -> int:
@@ -224,48 +235,41 @@ class IdentityReport:
 Case = tuple[dict, object, object]
 
 
+class _Seq:
+    """P_0, P_1, ... of one recurrence, each term formed at its first read:
+    the list grows one :func:`iter_terms` step at a time, up to the highest
+    index read.  A negative index raises IndexError; it never wraps around."""
+
+    __slots__ = ("terms", "_rows")
+
+    def __init__(self, spec: RecurrenceSpec):
+        self.terms, self._rows = [], iter_terms(spec)
+
+    def __getitem__(self, n: int) -> MultiPoly:
+        if n < 0:
+            raise IndexError(f"sequence index {n} is below 0")
+        terms = self.terms
+        while len(terms) <= n:
+            terms.append(next(self._rows))
+        return terms[n]
+
+
 class _Store:
-    """The sequences one check reads, by name: F and L of the checked
-    family; D, E and dickson_F (the Dickson family's F) of the Dickson
-    family.  Each is built once, from index 0, by one ``iterate_terms`` call
-    to the top index the entry names; a store serves one check and is then
-    dropped, so nothing is memoized across checks.  A top below 0 (E at
-    n_max = 0, where no case reads it) builds the one term P_0.
+    """What one check reads, by name: F and L of the checked family; D, E
+    and dickson_F (the Dickson family's F) of the Dickson family, each a
+    :class:`_Seq` that forms no term before its first read; and ``rng``, the
+    random source of the ids that draw points or initial windows.  A store
+    serves one check and is then dropped, so nothing is memoized across
+    checks.
     """
 
-    def __init__(self, fam: Order2Family, tops: dict[str, int]):
+    def __init__(self, fam: Order2Family, seed: int):
         self.fam, self.q1, self.q2 = fam, fam.q1, fam.q2
         self.dickson, self.x, self.a = _dickson_vars()
-        specs = {"F": fam.fib_spec, "L": fam.lucas_spec, "D": self.dickson.lucas_spec,
-                 "E": lambda: self.dickson._spec(1, self.x),
-                 "dickson_F": self.dickson.fib_spec}
-        for name, top in tops.items():
-            setattr(self, name, iterate_terms(specs[name](), max(top, 0)))
-
-
-class _Entry:
-    """One catalog identity as data, callable as its checker.
-
-    ``tops(N, P, M)`` maps each sequence the identity reads to the top index
-    it reads, for (N, P, M) = (n_max, p_max, m_max).  ``cases(store, N, P,
-    M)`` yields its cases in check order.  A call builds one store and
-    yields every case whose sides differ; the witness text is formatted
-    later, from the first one only.  (A plain class: a dataclass would add
-    about a millisecond to every CLI start.)
-    """
-
-    __slots__ = ("tops", "cases")
-
-    def __init__(self, tops: Callable[[int, int, int], dict[str, int]],
-                 cases: Callable[[_Store, int, int, int], Iterable[Case]]):
-        self.tops, self.cases = tops, cases
-
-    def __call__(self, family: Order2Family, n_max: int, p_max: int, m_max: int,
-                 seed: int) -> Iterator[Case]:
-        store = _Store(family, self.tops(n_max, p_max, m_max))
-        for params, lhs, rhs in self.cases(store, n_max, p_max, m_max):
-            if lhs != rhs:
-                yield params, lhs, rhs
+        self.F, self.L = _Seq(fam.fib_spec()), _Seq(fam.lucas_spec())
+        self.D, self.E = _Seq(self.dickson.lucas_spec()), _Seq(self.dickson._spec(1, self.x))
+        self.dickson_F = _Seq(self.dickson.fib_spec())
+        self.rng = random.Random(seed)
 
 
 def _each_n(lo: int, sides: Callable[[_Store, int], tuple]) -> Callable:
@@ -290,11 +294,11 @@ def _quadext_cases(s: _Store, N: int, M: int, dickson: bool, sign: int,
     shift = int(dickson)
     L, F, delta = (s.D, s.E, s.dickson.delta()) if dickson else (s.L, s.F, s.fam.delta())
     zero = MultiPoly.zero(delta.variables)
-    if M < (0 if summed else 1):  # no power to check
+    if M == 0 and not summed:  # no power m >= 1 to check
         return
     for n in range(shift, N + 1):
-        us, vs = _power_chains(L[n], sign * F[n - shift], delta, M)
-        for m, (u_m, v_m) in enumerate(zip(us, repeat(zero) if summed else vs)):
+        us, vs = _power_chains(L[n], sign * F[n - shift], delta)
+        for m, u_m, v_m in zip(range(M + 1), us, repeat(zero) if summed else vs):
             if summed:
                 yield {"n": n, "m": m}, QuadExtElem(2 * u_m, zero, delta), QuadExtElem(
                     2**m * L[n * m], zero, delta)
@@ -303,9 +307,9 @@ def _quadext_cases(s: _Store, N: int, M: int, dickson: bool, sign: int,
                     2 ** (m - 1) * L[n * m], sign * 2 ** (m - 1) * F[n * m - shift], delta)
 
 
-def _power_chains(u: MultiPoly, v: MultiPoly, delta: MultiPoly,
-                  M: int) -> tuple[Iterator[MultiPoly], Iterator[MultiPoly]]:
-    """Lazy chains of u_m and v_m, m = 0..M, for z^m = u_m + v_m sqrt(delta)
+def _power_chains(u: MultiPoly, v: MultiPoly,
+                  delta: MultiPoly) -> tuple[Iterator[MultiPoly], Iterator[MultiPoly]]:
+    """Unbounded chains of u_m and v_m, m = 0, 1, ..., for z^m = u_m + v_m sqrt(delta)
     and z = u + v sqrt(delta).  By Cayley-Hamilton z^2 = 2u z - N with the
     norm N = u^2 - delta v^2, so each component follows the recurrence
     P_{m+2} = 2u P_{m+1} - N P_m from (1, u) for u_m and (0, v) for v_m: two
@@ -313,15 +317,12 @@ def _power_chains(u: MultiPoly, v: MultiPoly, delta: MultiPoly,
     variables = delta.variables
     minus_norm = _sum((-1, u, u), (1, delta, v * v))
     spec = RecurrenceSpec.make(variables, [2 * u, minus_norm], [MultiPoly.const(variables, 1), u])
-    return iter_terms(spec, M), iter_terms(spec.with_initial([MultiPoly.zero(variables), v]), M)
+    return iter_terms(spec), iter_terms(spec.with_initial([MultiPoly.zero(variables), v]))
 
 
-def _power(dickson: bool, sign: int, summed: bool) -> _Entry:
+def _power(dickson: bool, sign: int, summed: bool) -> Callable:
     """thm-4.21-3/4/5 (L and F) or thm-5.6-1/2/3 (D and E)."""
-    L, F = ("D", "E") if dickson else ("L", "F")
-    return _Entry(
-        lambda N, P, M: {L: N * max(M, 1), F: (N if summed else N * max(M, 1)) - dickson},
-        lambda s, N, P, M: _quadext_cases(s, N, M, dickson, sign, summed))
+    return lambda s, N, P, M: _quadext_cases(s, N, M, dickson, sign, summed)
 
 
 def _cases_4_9(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
@@ -358,40 +359,38 @@ def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
 
 
 def _cases_5_5(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
-    D, E = s.dickson._lucas_explicits(range(1, N + 1)), s.dickson._fib_explicits(range(1, N + 2))
-    for n in range(N + 1):
+    # D_n's and E_n = F_{n+1}'s sums read the same powers at top n: one table serves both.
+    for n, at in enumerate(s.dickson._explicit(range(N + 1))):
         if n >= 1:
-            yield {"n": n, "kind": "D"}, s.D[n], next(D)
-        yield {"n": n, "kind": "E"}, s.E[n], next(E)
+            yield {"n": n, "kind": "D"}, s.D[n], at(lucas_weight)
+        yield {"n": n, "kind": "E"}, s.E[n], at(fib_weight)
 
 
-def _d2(shift: int) -> _Entry:
+def _d2(shift: int) -> Callable:
     """thm-5.7-d2: the corrected form leads with E_n^2 (shift 0); the
     published form prints E_{n+1}^2 (shift 1)."""
-    return _Entry(lambda N, P, M: {"D": 2 * N, "E": N + shift}, _each_n(2, lambda s, n: (
-        s.D[2 * n], _square_sum(s.E[n + shift], s.E[n - 1], s.E[n - 2], s.dickson.q2))))
+    return _each_n(2, lambda s, n: (
+        s.D[2 * n], _square_sum(s.E[n + shift], s.E[n - 1], s.E[n - 2], s.dickson.q2)))
 
 
-def _thm_2_6(sign: str) -> _Entry:
+def _thm_2_6(sign: str) -> Callable:
     """thm-2.6-sign: the generalized Lucas closed form with the derived or
     the printed sign, for k = 2..4 and n <= min(n_max, 15)."""
-    return _Entry(lambda N, P, M: {}, lambda s, N, P, M: (
+    return lambda s, N, P, M: (
         ({"k": k, "n": n}, term, generalized_lucas_closed_form(k, n, sign=sign))
-        for k in ((2, 3, 4) if N >= 0 else ())
-        for n, term in enumerate(iter_terms(generalized_lucas_spec(k), min(N, 15)))))
+        for k in (2, 3, 4)
+        for n, term in zip(range(min(N, 15) + 1), iter_terms(generalized_lucas_spec(k))))
 
 
-def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
-                   seed: int) -> Iterator[Case]:
-    # The comparison is in floating point, so a point where a coefficient or
-    # an exact F_n or L_n is past the float range stops the check.
-    rng = random.Random(seed)
-    F = family.fib_list(n_max)
-    L = family.lucas_list(n_max)
+def _cases_4_21_12(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
+    # The comparison is in floating point, so a case is yielded only past the
+    # tolerance, with sides (a complex repr, an integer) that always differ.
+    # A point where a coefficient or an exact F_n or L_n is past the float
+    # range stops the check.
     for case in range(5):
-        point = {v: rng.randint(-5, 5) for v in family.variables}
-        c1 = family.q1.eval_int(point)
-        c2 = family.q2.eval_int(point)
+        point = {v: s.rng.randint(-5, 5) for v in s.fam.variables}
+        c1 = s.q1.eval_int(point)
+        c2 = s.q2.eval_int(point)
         try:
             profile = char_roots([complex(c1), complex(c2)])
             if profile.all_simple():
@@ -409,10 +408,10 @@ def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
             def lucas_num(n):
                 return 2 * fib_num(n + 1) - c1 * fib_num(n)
 
-            for n in range(n_max + 1):
+            for n in range(N + 1):
                 for label, exact_poly, numeric in (
-                    ("F", F[n], fib_num(n)),
-                    ("L", L[n], lucas_num(n)),
+                    ("F", s.F[n], fib_num(n)),
+                    ("L", s.L[n], lucas_num(n)),
                 ):
                     exact = exact_poly.eval_int(point)
                     if abs(numeric - exact) > NUMERIC_REL_TOL * max(1, abs(exact)):
@@ -423,18 +422,13 @@ def _check_4_21_12(family: Order2Family, n_max: int, p_max: int, m_max: int,
                                   "where the numeric Binet check cannot compare it") from None
 
 
-def _check_lem_4_4(family: Order2Family, n_max: int, p_max: int, m_max: int,
-                   seed: int) -> Iterator[Case]:
-    rng = random.Random(seed)
-    F = family.fib_list(n_max)
+def _cases_lem_4_4(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
     for case in range(3):
-        initials = [_random_poly(rng, family.variables) for _ in range(2)]
-        P = iterate_terms(family._spec(initials[0], initials[1]), n_max)
-        for n in range(1, n_max + 1):
-            lhs = P[n]
-            rhs = family.q2 * initials[0] * F[n - 1] + initials[1] * F[n]
-            if lhs != rhs:
-                yield ({"case": case, "n": n}, lhs, rhs)
+        initials = [_random_poly(s.rng, s.fam.variables) for _ in range(2)]
+        window = _Seq(s.fam._spec(initials[0], initials[1]))
+        for n in range(1, N + 1):
+            yield ({"case": case, "n": n}, window[n],
+                   s.q2 * initials[0] * s.F[n - 1] + initials[1] * s.F[n])
 
 
 def _random_poly(rng: random.Random, variables: tuple[str, ...]) -> MultiPoly:
@@ -445,51 +439,44 @@ def _random_poly(rng: random.Random, variables: tuple[str, ...]) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
-# Identity id -> checker(family, n_max, p_max, m_max, seed), which yields the
-# mismatching cases in check order.  Every id but lem-4.4 (random initial
-# windows) and thm-4.21-12 (floats at random points) is an _Entry.  This
-# order is the order of IDENTITY_IDS, TYPO_IDS and the CLI's output.
-_CATALOG: dict[str, Callable[..., Iterator[Case]]] = {
-    "lem-4.4": _check_lem_4_4,
-    "thm-4.5": _Entry(lambda N, P, M: {"F": N, "L": N}, _each_n(
-        1, lambda s, n: (s.L[n], 2 * s.q2 * s.F[n - 1] + s.q1 * s.F[n]))),
-    "thm-4.7": _Entry(lambda N, P, M: {"F": N, "L": N + 1}, _each_n(
-        0, lambda s, n: (2 * s.L[n + 1] - s.q1 * s.L[n], s.fam.delta() * s.F[n]))),
-    "thm-4.9": _Entry(lambda N, P, M: {"F": N, "L": N + max(N, P)}, _cases_4_9),
-    "thm-4.11": _Entry(lambda N, P, M: {"F": N + 1, "L": 2 * N}, _each_n(1, lambda s, n: (
-        s.L[2 * n], _square_sum(s.F[n + 1], s.F[n], s.F[n - 1], s.q2)))),
-    "thm-4.13": _Entry(lambda N, P, M: {"F": N + 1}, _cases_4_13),
-    "thm-4.15": _Entry(lambda N, P, M: {"F": N + 1, "L": N}, _each_n(
-        0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n]))),
-    "thm-4.17": _Entry(lambda N, P, M: {"F": N + 1}, lambda s, N, P, M: (
-        ({"n": n}, s.F[n + 1], rhs) for n, rhs in enumerate(s.fam._fib_explicits(range(1, N + 2))))),
-    "thm-4.19": _Entry(lambda N, P, M: {"L": N}, lambda s, N, P, M: (
+# Identity id -> cases(store, n_max, p_max, m_max), which yields the cases in
+# check order; the indices they read are the indices the store builds to.
+# This order is the order of IDENTITY_IDS, TYPO_IDS and the CLI's output.
+_CATALOG: dict[str, Callable[[_Store, int, int, int], Iterable[Case]]] = {
+    "lem-4.4": _cases_lem_4_4,
+    "thm-4.5": _each_n(1, lambda s, n: (s.L[n], 2 * s.q2 * s.F[n - 1] + s.q1 * s.F[n])),
+    "thm-4.7": _each_n(0, lambda s, n: (2 * s.L[n + 1] - s.q1 * s.L[n], s.fam.delta() * s.F[n])),
+    "thm-4.9": _cases_4_9,
+    "thm-4.11": _each_n(1, lambda s, n: (
+        s.L[2 * n], _square_sum(s.F[n + 1], s.F[n], s.F[n - 1], s.q2))),
+    "thm-4.13": _cases_4_13,
+    "thm-4.15": _each_n(0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n])),
+    "thm-4.17": lambda s, N, P, M: (
+        ({"n": n}, s.F[n + 1], rhs) for n, rhs in enumerate(s.fam._fib_explicits(range(1, N + 2)))),
+    "thm-4.19": lambda s, N, P, M: (
         ({"n": n}, s.L[n], rhs) for n, rhs in zip(range(1, N + 1),
-                                                  s.fam._lucas_explicits(range(1, N + 1))))),
-    "thm-4.21-12": _check_4_21_12,
+                                                  s.fam._lucas_explicits(range(1, N + 1)))),
+    "thm-4.21-12": _cases_4_21_12,
     "thm-4.21-3": _power(False, +1, False),
     "thm-4.21-4": _power(False, -1, False),
     "thm-4.21-5": _power(False, +1, True),
-    "thm-5.1": _Entry(lambda N, P, M: {"E": N, "dickson_F": N + 1}, _each_n(
-        0, lambda s, n: (s.E[n], s.dickson_F[n + 1]))),
-    "thm-5.2": _Entry(lambda N, P, M: {"E": N}, _cases_5_2),
-    "thm-5.5": _Entry(lambda N, P, M: {"D": N, "E": N}, _cases_5_5),
+    "thm-5.1": _each_n(0, lambda s, n: (s.E[n], s.dickson_F[n + 1])),
+    "thm-5.2": _cases_5_2,
+    "thm-5.5": _cases_5_5,
     "thm-5.6-1": _power(True, +1, False),
     "thm-5.6-2": _power(True, -1, False),
     "thm-5.6-3": _power(True, +1, True),
-    "thm-5.7-a": _Entry(lambda N, P, M: {"D": N, "E": N - 1}, _each_n(
-        2, lambda s, n: (s.D[n], s.x * s.E[n - 1] - 2 * s.a * s.E[n - 2]))),
-    "thm-5.7-b": _Entry(lambda N, P, M: {"D": N + 1, "E": N - 1}, _each_n(
-        1, lambda s, n: (2 * s.D[n + 1] - s.x * s.D[n], s.dickson.delta() * s.E[n - 1]))),
-    "thm-5.7-c": _Entry(lambda N, P, M: {"D": N + P, "E": N - 1}, lambda s, N, P, M: (
+    "thm-5.7-a": _each_n(2, lambda s, n: (s.D[n], s.x * s.E[n - 1] - 2 * s.a * s.E[n - 2])),
+    "thm-5.7-b": _each_n(1, lambda s, n: (
+        2 * s.D[n + 1] - s.x * s.D[n], s.dickson.delta() * s.E[n - 1])),
+    "thm-5.7-c": lambda s, N, P, M: (
         ({"n": n, "p": p}, s.D[n + p], _sum((1, s.D[p + 1], s.E[n - 1]), (-1, s.D[p], a_E)))
-        for n in range(2, N + 1) for a_E in (s.a * s.E[n - 2],) for p in range(P + 1))),
-    "thm-5.7-d1": _Entry(lambda N, P, M: {"D": 2 * N, "E": N - 1}, _each_n(2, lambda s, n: (
-        s.D[2 * n], _sum((1, s.D[n + 1], s.E[n - 1]), (-1, s.D[n], s.a * s.E[n - 2]))))),
+        for n in range(2, N + 1) for a_E in (s.a * s.E[n - 2],) for p in range(P + 1)),
+    "thm-5.7-d1": _each_n(2, lambda s, n: (
+        s.D[2 * n], _sum((1, s.D[n + 1], s.E[n - 1]), (-1, s.D[n], s.a * s.E[n - 2])))),
     "thm-5.7-d2": _d2(0),
     "thm-5.7-d2-as-printed": _d2(1),
-    "thm-5.7-e": _Entry(lambda N, P, M: {"D": N, "E": N}, _each_n(
-        1, lambda s, n: (s.D[n], 2 * s.E[n] - s.x * s.E[n - 1]))),
+    "thm-5.7-e": _each_n(1, lambda s, n: (s.D[n], 2 * s.E[n] - s.x * s.E[n - 1])),
     "thm-2.6-sign": _thm_2_6("derived"),
     "thm-2.6-sign-as-printed": _thm_2_6("printed"),
 }
@@ -516,10 +503,9 @@ def check_identity(identity_id: str, family: Optional[Order2Family] = None,
     for name, value in (("n_max", n_max), ("p_max", p_max), ("m_max", m_max)):
         if value < 0:
             raise StructuralError(f"{name} must be >= 0, got {value}")
-    if family is None:
-        family = generic_family()
+    store = _Store(generic_family() if family is None else family, seed)
     index_range = f"n<={n_max},p<={p_max},m<={m_max}"
-    for params, lhs, rhs in _CATALOG[identity_id](family, n_max, p_max, m_max, seed):
-        witness = (params, str(lhs), str(rhs))
-        return IdentityReport(identity_id, index_range, "fail", witness)
+    for params, lhs, rhs in _CATALOG[identity_id](store, n_max, p_max, m_max):
+        if lhs != rhs:
+            return IdentityReport(identity_id, index_range, "fail", (params, str(lhs), str(rhs)))
     return IdentityReport(identity_id, index_range, "pass")

@@ -8,7 +8,9 @@ and never stored.
 Engines here are plain iteration and Fiduccia's method (SIAM J. Comput.
 14(1), 1985) on remainders modulo the characteristic polynomial chi: a term
 ends in an exact bilinear form, not a last squaring, and a table shifts
-X^n mod chi one row at a time.  Symbolic terms can grow quickly for
+X^n mod chi one row at a time.  The row streams :func:`iter_terms` and
+:func:`companion_terms` have no end: whoever reads them sets the bound, so a
+row is formed only when it is drawn.  Symbolic terms can grow quickly for
 multivariate coefficients; run an engine inside
 :func:`recpoly.ring.term_budget` to make it fail cleanly once any sum or
 product it builds exceeds a term count.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import StructuralError
@@ -60,16 +63,14 @@ class RecurrenceSpec:
         return RecurrenceSpec(self.variables, self.order, self.coeffs, tuple(initial))
 
 
-def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
-    """Yield P_0, ..., P_{n_max} by direct iteration, one recurrence step per
-    item, holding only the last k terms."""
-    if n_max < 0:
-        raise StructuralError(f"n_max must be >= 0, got {n_max}")
+def iter_terms(spec: RecurrenceSpec) -> Iterator[MultiPoly]:
+    """Yield P_0, P_1, ... without end by direct iteration, one recurrence
+    step per item, holding only the last k terms.  The reader sets the bound."""
     variables = spec.variables
     coeffs = [(i, c.terms) for i, c in enumerate(spec.coeffs, start=1) if c.terms]
     window = deque(spec.initial, maxlen=spec.order)
-    yield from spec.initial[: n_max + 1]
-    for _ in range(spec.order, n_max + 1):
+    yield from spec.initial
+    while True:
         acc: dict[int, int] = {}
         _addmul(acc, variables, [(1, c, window[-i].terms) for i, c in coeffs])
         nxt = _charged(variables, acc)
@@ -79,7 +80,9 @@ def iter_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
 
 def iterate_terms(spec: RecurrenceSpec, n_max: int) -> list[MultiPoly]:
     """Return [P_0, ..., P_{n_max}] by direct iteration of the recurrence."""
-    return list(iter_terms(spec, n_max))
+    if n_max < 0:
+        raise StructuralError(f"n_max must be >= 0, got {n_max}")
+    return list(islice(iter_terms(spec), n_max + 1))
 
 
 def _reduce(poly: list[dict[int, int]], spec: RecurrenceSpec) -> list[dict[int, int]]:
@@ -108,16 +111,14 @@ def _read(r: list[dict[int, int]], spec: RecurrenceSpec) -> dict[int, int]:
     return acc
 
 
-def companion_terms(spec: RecurrenceSpec, n_max: int) -> Iterator[MultiPoly]:
-    """Yield P_0, ..., P_{n_max} as L(R_n) with R_0 = 1 and R_{n+1} = X*R_n mod
-    chi: one shift-and-reduce and one read per row, at most 2k products."""
-    if n_max < 0:
-        raise StructuralError(f"n_max must be >= 0, got {n_max}")
+def companion_terms(spec: RecurrenceSpec) -> Iterator[MultiPoly]:
+    """Yield P_0, P_1, ... without end as L(R_n) with R_0 = 1 and R_{n+1} =
+    X*R_n mod chi: one shift-and-reduce and one read per row, at most 2k
+    products.  A row's shift is formed only when that row is drawn."""
     r = [{0: 1}] + [{} for _ in range(spec.order - 1)]
-    for n in range(n_max + 1):
-        if n:
-            r = _shift(r, spec)
+    while True:
         yield _charged(spec.variables, _read(r, spec))
+        r = _shift(r, spec)
 
 
 def companion_power_term(spec: RecurrenceSpec, n: int) -> MultiPoly:

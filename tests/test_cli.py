@@ -623,7 +623,7 @@ class TestIdentityCommand:
         assert all("witness" not in r for r in records)
 
     def test_failure_carries_its_witness_in_every_format(self, capsys, monkeypatch):
-        def broken(fam, n_max, p_max, m_max, seed):
+        def broken(store, n_max, p_max, m_max):
             yield {"n": 3, "point": {"x": 1}}, MultiPoly.var("x", ("x",)), "x + 1"
 
         monkeypatch.setitem(families._CATALOG, "thm-4.5", broken)

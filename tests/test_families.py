@@ -82,14 +82,20 @@ class TestExplicitSums:
         assert report.passed
         assert ring_products[0] <= bound
 
+    def test_the_dickson_sums_share_one_power_table(self, ring_products):
+        # D_n's and E_n's sums read the same powers of x and -a at each top:
+        # one table costs 672 products at n_max = 30, two tables 717.
+        assert check_identity("thm-5.5").passed
+        assert ring_products[0] <= 675
+
     @pytest.mark.parametrize("identity_id, witness", [
         ("thm-4.17", {"n": 3}), ("thm-4.19", {"n": 3}), ("thm-5.5", {"n": 3, "kind": "D"})])
     def test_a_wrong_sum_in_the_range_is_the_witness(self, monkeypatch, identity_id, witness):
         original = Order2Family._explicit
 
-        def wrong_at_3(self, tops, weight):
-            for top, total in zip(tops, original(self, tops, weight)):
-                yield total + 1 if top == 3 else total
+        def wrong_at_3(self, tops):
+            for top, at in zip(tops, original(self, tops)):
+                yield (lambda weight, at=at: at(weight) + 1) if top == 3 else at
 
         monkeypatch.setattr(Order2Family, "_explicit", wrong_at_3)
         assert check_identity(identity_id).witness[0] == witness
@@ -248,9 +254,9 @@ class TestPowerChains:
     @example(U_, MultiPoly.zero(X_Y), U_ * U_ + 1, 1)  # v = 0
     @example(U_, U_ - 1, U_ * U_ + 3, -1)  # N = u^2 - delta v^2 is not a monomial
     def test_chains_are_the_extension_powers(self, u, v, delta, sign):
-        us, vs = families._power_chains(u, sign * v, delta, 8)
+        us, vs = families._power_chains(u, sign * v, delta)
         z = QuadExtElem(u, sign * v, delta)
-        assert [QuadExtElem(u_m, v_m, delta) for u_m, v_m in zip(us, vs)] == \
+        assert [QuadExtElem(u_m, v_m, delta) for _, u_m, v_m in zip(range(9), us, vs)] == \
             [z**m for m in range(9)]
 
     def test_power_ids_form_no_extension_product(self, monkeypatch):
@@ -293,6 +299,19 @@ class TestIdentityCatalog:
         report = check_identity("thm-5.7-d2-as-printed", n_max=10)
         assert report.witness[0] == {"n": 2}
 
+    def test_a_failing_check_builds_nothing_past_its_witness(self, ring_products):
+        # The witness n = 2 reads D_4 and E_3; building every sequence to its
+        # top at n_max = 30 first cost 183 products.
+        assert check_identity("thm-5.7-d2-as-printed").witness[0] == {"n": 2}
+        assert ring_products[0] <= 20
+
+    def test_a_negative_index_raises(self, monkeypatch):
+        # thm-5.7-a started at n = 1 reads E_{-1}: an error, not E's last term.
+        monkeypatch.setitem(families._CATALOG, "thm-5.7-a", families._each_n(
+            1, lambda s, n: (s.D[n], s.x * s.E[n - 1] - 2 * s.a * s.E[n - 2])))
+        with pytest.raises(IndexError):
+            check_identity("thm-5.7-a", n_max=3)
+
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
             check_identity("thm-9.9")
@@ -326,29 +345,26 @@ class TestIdentityCatalog:
     @pytest.mark.parametrize("identity_id", IDENTITY_IDS)
     def test_each_sequence_is_built_once_up_to_the_last_index_read(self, identity_id,
                                                                    monkeypatch):
-        # A passing check reads every case, so each list's last term is read.
-        built = []
-        original = families.iterate_terms
+        # Every sequence the store makes is recorded with the highest index
+        # read from it: one sequence per recurrence, holding no term past it.
+        made, top = [], {}
+        init, getitem = families._Seq.__init__, families._Seq.__getitem__
 
-        def recording(spec, n_max):
-            built.append((spec, _ReadList(original(spec, n_max))))
-            return built[-1][1]
+        def recording_init(seq, spec):
+            made.append((spec, seq))
+            init(seq, spec)
 
-        monkeypatch.setattr(families, "iterate_terms", recording)
-        check_identity(identity_id, n_max=7, p_max=3, m_max=3)
-        specs = [spec for spec, _ in built]
+        def recording_getitem(seq, n):
+            top[seq] = max(top.get(seq, -1), n)
+            return getitem(seq, n)
+
+        monkeypatch.setattr(families._Seq, "__init__", recording_init)
+        monkeypatch.setattr(families._Seq, "__getitem__", recording_getitem)
+        assert check_identity(identity_id, n_max=7, p_max=3, m_max=3).passed
+        assert top or identity_id == "thm-2.6-sign"  # the one id that reads no stored sequence
+        specs = [spec for spec, _ in made]
         assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1:])
-        assert [terms.top for _, terms in built] == [len(terms) - 1 for _, terms in built]
-
-
-class _ReadList(list):
-    """A list that records the highest index read from it."""
-
-    top = -1
-
-    def __getitem__(self, index):
-        self.top = max(self.top, index)
-        return super().__getitem__(index)
+        assert [len(seq.terms) - 1 for _, seq in made] == [top.get(seq, -1) for _, seq in made]
 
 
 class TestPublicApi:

@@ -303,7 +303,3 @@ class TestCompanionTable:
         rows = list(table_terms(spec, n_max, "companion"))
         assert ring_products[0] <= 2 * spec.order * (n_max + 1)
         assert rows == iterate_terms(spec, n_max)
-
-    def test_negative_n_max_rejected(self):
-        with pytest.raises(StructuralError):
-            next(recurrence.companion_terms(fib_spec(), -1))

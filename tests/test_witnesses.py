@@ -1,7 +1,7 @@
 """Regression of the catalog's mismatch witnesses.
 
-The golden CLI file pins only PASS/XFAIL labels, so here every list the
-catalog builds with ``iterate_terms`` gets 1 added to its term at index 7,
+The golden CLI file pins only PASS/XFAIL labels, so here every sequence the
+catalog's store holds reads 1 more than its term at index 7,
 and each id's status and witness, ``repr``'d, are compared line by line with
 ``tests/golden/identity_witnesses.txt`` (one ``id<TAB>status<TAB>witness``
 line per id, ``IDENTITY_IDS`` then ``TYPO_IDS``).  A change to the order in
@@ -29,15 +29,13 @@ def perturbed_witness_lines() -> list[str]:
 
 @pytest.fixture
 def perturbed_sequences(monkeypatch):
-    original = families.iterate_terms
+    original = families._Seq.__getitem__
 
-    def perturbed(spec, n_max):
-        terms = original(spec, n_max)
-        if len(terms) > 7:
-            terms[7] = terms[7] + 1
-        return terms
+    def perturbed(self, n):
+        term = original(self, n)
+        return term + 1 if n == 7 else term
 
-    monkeypatch.setattr(families, "iterate_terms", perturbed)
+    monkeypatch.setattr(families._Seq, "__getitem__", perturbed)
 
 
 def test_witnesses_match_golden_file(perturbed_sequences):
