@@ -306,6 +306,7 @@ def generalized_lucas_spec(k: int) -> RecurrenceSpec:
     """Recurrence with c_i = (-1)^(i+1) x_i and delta initials at k-1."""
     if k < 2:
         raise StructuralError(f"generalized Lucas sequences need k >= 2, got {k}")
+    check_budget(k, "variable count")  # before the k variables, which take time quadratic in k
     variables = _lucas_variables(k)
     coeffs = []
     for i in range(1, k + 1):

@@ -4,7 +4,8 @@ machine-checkable identity catalog.
 An :class:`Order2Family` fixes the pair (q1, q2) of coefficient polynomials
 and yields F (initials 0, 1) and L (initials 2, q1) under
 P_{n+2} = q1 P_{n+1} + q2 P_n.  The Dickson polynomials of the first and
-second kind are the family q1 = x, q2 = -a with initials (2, x) and (1, x).
+second kind are the family q1 = x, q2 = -a with initials (2, x) and (1, x),
+so D_n = L_n and E_n = F_{n+1}: the Section 5 checks (thm-5.*) read that family.
 
 Identities are checked on the generic family (q1, q2 free variables)
 wherever they are polynomial, so a pass implies a pass for every
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -85,7 +86,9 @@ class Order2Family:
 
         F_0 is the empty sum.
         """
-        return next(self._fib_explicits(range(n, n + 1)))
+        if n < 0:
+            raise StructuralError("the explicit Fibonacci sum is stated for n >= 0")
+        return next(self._explicit(range(n - 1, n)))(fib_weight)
 
     def lucas_explicit(self, n: int) -> MultiPoly:
         """L_n = sum_i n/(n-i) binom(n-i, i) q1^(n-2i) q2^i for n >= 1.
@@ -93,19 +96,9 @@ class Order2Family:
         The weight n/(n-i) * binom(n-i, i) is an exact integer; divisibility
         is asserted rather than assumed.
         """
-        return next(self._lucas_explicits(range(n, n + 1)))
-
-    def _fib_explicits(self, ns: range) -> Iterator[MultiPoly]:
-        """:meth:`fib_explicit` at each n of an ascending range."""
-        if ns.start < 0:
-            raise StructuralError("the explicit Fibonacci sum is stated for n >= 0")
-        return (at(fib_weight) for at in self._explicit(range(ns.start - 1, ns.stop - 1)))
-
-    def _lucas_explicits(self, ns: range) -> Iterator[MultiPoly]:
-        """:meth:`lucas_explicit` at each n of an ascending range."""
-        if ns.start < 1:
+        if n < 1:
             raise StructuralError("the explicit Lucas sum is stated for n >= 1")
-        return (at(lucas_weight) for at in self._explicit(ns))
+        return next(self._explicit(range(n, n + 1)))(lucas_weight)
 
     def _explicit(self, tops: range) -> Iterator[Callable[[Callable[[int, int], int]], MultiPoly]]:
         """For each top of an ascending range, the sum
@@ -169,12 +162,6 @@ def dickson_family() -> Order2Family:
     return Order2Family(MultiPoly.var("x", variables), -MultiPoly.var("a", variables))
 
 
-def _dickson_vars() -> tuple[Order2Family, MultiPoly, MultiPoly]:
-    """The Dickson family and its x and a (q1 = x, q2 = -a)."""
-    fam = dickson_family()
-    return fam, fam.q1, -fam.q2
-
-
 def dickson_D(n: int) -> MultiPoly:
     """Dickson polynomial of the first kind, recurrence and explicit sum agreeing."""
     fam = dickson_family()
@@ -204,8 +191,8 @@ def _dickson_E_minors(n_max: int, sign: int = 1) -> list[MultiPoly]:
     tridiagonal matrix with diagonal x, superdiagonal sign * a and
     subdiagonal sign * 1.  Its leading n x n block is the literal n x n
     matrix, so d_n is that matrix's determinant."""
-    _, x, a = _dickson_vars()
-    one = MultiPoly.const(x.variables, 1)
+    fam = dickson_family()
+    x, a, one = fam.q1, -fam.q2, MultiPoly.const(fam.variables, 1)
     return hessenberg_minors(_tridiag(x, sign * one, sign * a, n_max))
 
 
@@ -255,21 +242,25 @@ class _Seq:
 
 
 class _Store:
-    """What one check reads, by name: F and L of the checked family; D, E
-    and dickson_F (the Dickson family's F) of the Dickson family, each a
-    :class:`_Seq` that forms no term before its first read; and ``rng``, the
-    random source of the ids that draw points or initial windows.  A store
-    serves one check and is then dropped, so nothing is memoized across
-    checks.
+    """What one check reads of its one family, by name: F, L and E
+    (initials 1, q1, so E_n = F_{n+1}), each a :class:`_Seq` that forms no
+    term before its first read; ``delta``, formed at its first read; and
+    ``rng``, the random source of the ids that draw points or initial
+    windows.  The thm-5.* ids read the Dickson family under the paper's
+    names D = L, x = q1 and a = -q2.  A store serves one check and is then
+    dropped, so nothing is memoized across checks.
     """
 
     def __init__(self, fam: Order2Family, seed: int):
         self.fam, self.q1, self.q2 = fam, fam.q1, fam.q2
-        self.dickson, self.x, self.a = _dickson_vars()
-        self.F, self.L = _Seq(fam.fib_spec()), _Seq(fam.lucas_spec())
-        self.D, self.E = _Seq(self.dickson.lucas_spec()), _Seq(self.dickson._spec(1, self.x))
-        self.dickson_F = _Seq(self.dickson.fib_spec())
+        self.F, self.L, self.E = (_Seq(fam.fib_spec()), _Seq(fam.lucas_spec()),
+                                  _Seq(fam._spec(1, fam.q1)))
+        self.D, self.x, self.a = self.L, fam.q1, -fam.q2
         self.rng = random.Random(seed)
+
+    @cached_property
+    def delta(self) -> MultiPoly:
+        return self.fam.delta()
 
 
 def _each_n(lo: int, sides: Callable[[_Store, int], tuple]) -> Callable:
@@ -291,8 +282,8 @@ def _quadext_cases(s: _Store, N: int, M: int, dickson: bool, sign: int,
     follow an order-2 recurrence in m (:func:`_power_chains`) whose coefficients
     are exact, from the stored base.  z^m + conj(z^m) = 2 u_m reads u_m alone.
     """
-    shift = int(dickson)
-    L, F, delta = (s.D, s.E, s.dickson.delta()) if dickson else (s.L, s.F, s.fam.delta())
+    shift, F = (1, s.E) if dickson else (0, s.F)
+    L, delta = s.L, s.delta
     zero = MultiPoly.zero(delta.variables)
     if M == 0 and not summed:  # no power m >= 1 to check
         return
@@ -360,7 +351,7 @@ def _cases_5_2(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
 
 def _cases_5_5(s: _Store, N: int, P: int, M: int) -> Iterator[Case]:
     # D_n's and E_n = F_{n+1}'s sums read the same powers at top n: one table serves both.
-    for n, at in enumerate(s.dickson._explicit(range(N + 1))):
+    for n, at in enumerate(s.fam._explicit(range(N + 1))):
         if n >= 1:
             yield {"n": n, "kind": "D"}, s.D[n], at(lucas_weight)
         yield {"n": n, "kind": "E"}, s.E[n], at(fib_weight)
@@ -370,7 +361,7 @@ def _d2(shift: int) -> Callable:
     """thm-5.7-d2: the corrected form leads with E_n^2 (shift 0); the
     published form prints E_{n+1}^2 (shift 1)."""
     return _each_n(2, lambda s, n: (
-        s.D[2 * n], _square_sum(s.E[n + shift], s.E[n - 1], s.E[n - 2], s.dickson.q2)))
+        s.D[2 * n], _square_sum(s.E[n + shift], s.E[n - 1], s.E[n - 2], s.q2)))
 
 
 def _thm_2_6(sign: str) -> Callable:
@@ -445,22 +436,22 @@ def _random_poly(rng: random.Random, variables: tuple[str, ...]) -> MultiPoly:
 _CATALOG: dict[str, Callable[[_Store, int, int, int], Iterable[Case]]] = {
     "lem-4.4": _cases_lem_4_4,
     "thm-4.5": _each_n(1, lambda s, n: (s.L[n], 2 * s.q2 * s.F[n - 1] + s.q1 * s.F[n])),
-    "thm-4.7": _each_n(0, lambda s, n: (2 * s.L[n + 1] - s.q1 * s.L[n], s.fam.delta() * s.F[n])),
+    "thm-4.7": _each_n(0, lambda s, n: (2 * s.L[n + 1] - s.q1 * s.L[n], s.delta * s.F[n])),
     "thm-4.9": _cases_4_9,
     "thm-4.11": _each_n(1, lambda s, n: (
         s.L[2 * n], _square_sum(s.F[n + 1], s.F[n], s.F[n - 1], s.q2))),
     "thm-4.13": _cases_4_13,
     "thm-4.15": _each_n(0, lambda s, n: (s.L[n], 2 * s.F[n + 1] - s.q1 * s.F[n])),
     "thm-4.17": lambda s, N, P, M: (
-        ({"n": n}, s.F[n + 1], rhs) for n, rhs in enumerate(s.fam._fib_explicits(range(1, N + 2)))),
+        ({"n": n}, s.F[n + 1], at(fib_weight)) for n, at in enumerate(s.fam._explicit(range(N + 1)))),
     "thm-4.19": lambda s, N, P, M: (
-        ({"n": n}, s.L[n], rhs) for n, rhs in zip(range(1, N + 1),
-                                                  s.fam._lucas_explicits(range(1, N + 1)))),
+        ({"n": n}, s.L[n], at(lucas_weight))
+        for n, at in enumerate(s.fam._explicit(range(1, N + 1)), 1)),
     "thm-4.21-12": _cases_4_21_12,
     "thm-4.21-3": _power(False, +1, False),
     "thm-4.21-4": _power(False, -1, False),
     "thm-4.21-5": _power(False, +1, True),
-    "thm-5.1": _each_n(0, lambda s, n: (s.E[n], s.dickson_F[n + 1])),
+    "thm-5.1": _each_n(0, lambda s, n: (s.E[n], s.F[n + 1])),
     "thm-5.2": _cases_5_2,
     "thm-5.5": _cases_5_5,
     "thm-5.6-1": _power(True, +1, False),
@@ -468,7 +459,7 @@ _CATALOG: dict[str, Callable[[_Store, int, int, int], Iterable[Case]]] = {
     "thm-5.6-3": _power(True, +1, True),
     "thm-5.7-a": _each_n(2, lambda s, n: (s.D[n], s.x * s.E[n - 1] - 2 * s.a * s.E[n - 2])),
     "thm-5.7-b": _each_n(1, lambda s, n: (
-        2 * s.D[n + 1] - s.x * s.D[n], s.dickson.delta() * s.E[n - 1])),
+        2 * s.D[n + 1] - s.x * s.D[n], s.delta * s.E[n - 1])),
     "thm-5.7-c": lambda s, N, P, M: (
         ({"n": n, "p": p}, s.D[n + p], _sum((1, s.D[p + 1], s.E[n - 1]), (-1, s.D[p], a_E)))
         for n in range(2, N + 1) for a_E in (s.a * s.E[n - 2],) for p in range(P + 1)),
@@ -496,13 +487,16 @@ def check_identity(identity_id: str, family: Optional[Order2Family] = None,
     lexicographic order) becomes the witness.
 
     Dickson-section identities (thm-5.*) are statements about the fixed
-    Dickson family and ignore ``family``.
+    Dickson family (q1 = x, q2 = -a) and always run on it, ignoring
+    ``family``.
     """
     if identity_id not in _CATALOG:
         raise KeyError(f"unknown identity id {identity_id!r}")
     for name, value in (("n_max", n_max), ("p_max", p_max), ("m_max", m_max)):
         if value < 0:
             raise StructuralError(f"{name} must be >= 0, got {value}")
+    if identity_id.startswith("thm-5."):
+        family = dickson_family()
     store = _Store(generic_family() if family is None else family, seed)
     index_range = f"n<={n_max},p<={p_max},m<={m_max}"
     for params, lhs, rhs in _CATALOG[identity_id](store, n_max, p_max, m_max):

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recpoly import (
+    IDENTITY_IDS,
+    TYPO_IDS,
     MultiPoly,
     Order2Family,
     RecurrenceSpec,
@@ -305,6 +307,22 @@ class TestTermCommand:
         assert code == 3 and out == ""
         assert err == "error: term count 17 exceeds budget 10\n"
 
+    def test_budget_bounds_the_generalized_lucas_variable_count(self, capsys):
+        # Building k variables takes time quadratic in k: order 100000 ran
+        # for about 20 minutes under --budget 10.  A k above the budget is
+        # refused before any variable is built; the subprocess timeout stops
+        # a run that builds them.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        argv = ["term", "--family", "generalized-lucas", "--order", "100000", "--n", "1",
+                "--budget", "10"]
+        proc = subprocess.run([sys.executable, "-m", "recpoly.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "error: variable count 100000 exceeds budget 10\n")
+        assert run(capsys, "term", "--family", "generalized-lucas", "--order", "10", "--n", "1",
+                   "--budget", "10") == (0, "0\n", "")  # an order at the budget still runs
+
     @pytest.mark.parametrize("argv", [
         ["term", "--n", "25000", "--engine", "companion"],
         ["table", "--n-max", "25000", "--format", "json-lines"],
@@ -587,6 +605,13 @@ class TestIdentityCommand:
         code, out, _ = run(capsys, "identity", "--ids", "thm-4.15", "--n-max", "8",
                            "--q1", "x", "--q2", "1", "--vars", "x")
         assert code == 0
+
+    def test_dickson_ids_ignore_the_family_flags(self, capsys):
+        ids = ",".join(i for i in IDENTITY_IDS + TYPO_IDS if i.startswith("thm-5."))
+        argv = ["identity", "--ids", ids, "--n-max", "8", "--p-max", "4", "--m-max", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err, out.count("PASS"), out.count("XFAIL")) == (0, "", 12, 1)
+        assert run(capsys, *argv, "--q1", "x", "--q2", "1", "--vars", "x") == (code, out, err)
 
     def test_unknown_id_is_usage_error(self, capsys):
         code, _, err = run(capsys, "identity", "--ids", "thm-0.0")

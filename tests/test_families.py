@@ -305,12 +305,31 @@ class TestIdentityCatalog:
         assert check_identity("thm-5.7-d2-as-printed").witness[0] == {"n": 2}
         assert ring_products[0] <= 20
 
+    @pytest.mark.parametrize("identity_id, bound", [("thm-4.7", 181), ("thm-5.7-b", 177)])
+    def test_delta_is_formed_once_per_check(self, ring_products, identity_id, bound):
+        # Forming q1^2 + 4 q2 again for every n cost one product per n: 211
+        # and 206 products at n_max = 30.
+        assert check_identity(identity_id).passed
+        assert ring_products[0] <= bound
+
     def test_a_negative_index_raises(self, monkeypatch):
         # thm-5.7-a started at n = 1 reads E_{-1}: an error, not E's last term.
         monkeypatch.setitem(families._CATALOG, "thm-5.7-a", families._each_n(
-            1, lambda s, n: (s.D[n], s.x * s.E[n - 1] - 2 * s.a * s.E[n - 2])))
+            1, lambda s, n: (s.L[n], s.q1 * s.E[n - 1] + 2 * s.q2 * s.E[n - 2])))
         with pytest.raises(IndexError):
             check_identity("thm-5.7-a", n_max=3)
+        store = families._Store(dickson_family(), 0)
+        for seq in (store.F, store.L, store.E):
+            with pytest.raises(IndexError):
+                seq[-1]
+
+    @pytest.mark.parametrize("identity_id", [
+        i for i in IDENTITY_IDS + TYPO_IDS if i.startswith("thm-5.")])
+    def test_dickson_ids_ignore_the_family(self, identity_id):
+        ranges = {"n_max": 8, "p_max": 4, "m_max": 3}
+        given = check_identity(identity_id, family=classical_family(), **ranges)
+        default = check_identity(identity_id, **ranges)
+        assert (given.status, given.witness) == (default.status, default.witness)
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
@@ -346,7 +365,8 @@ class TestIdentityCatalog:
     def test_each_sequence_is_built_once_up_to_the_last_index_read(self, identity_id,
                                                                    monkeypatch):
         # Every sequence the store makes is recorded with the highest index
-        # read from it: one sequence per recurrence, holding no term past it.
+        # read from it: one sequence per recurrence, holding no term past it,
+        # each over the variables of the one family the check reads.
         made, top = [], {}
         init, getitem = families._Seq.__init__, families._Seq.__getitem__
 
@@ -364,6 +384,8 @@ class TestIdentityCatalog:
         assert top or identity_id == "thm-2.6-sign"  # the one id that reads no stored sequence
         specs = [spec for spec, _ in made]
         assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1:])
+        family = ("x", "a") if identity_id.startswith("thm-5.") else ("q1", "q2")
+        assert specs and all(spec.variables == family for spec in specs)
         assert [len(seq.terms) - 1 for _, seq in made] == [top.get(seq, -1) for _, seq in made]
 
 
